@@ -34,9 +34,8 @@ let cuckoo_inst = Lc_dict.Cuckoo.instance cuckoo
 let bs_inst = Lc_dict.Sorted_array.instance (Lc_dict.Sorted_array.build ~universe ~keys)
 let pos_dist = Lc_cellprobe.Qdist.uniform ~name:"pos" keys
 
-(* All whole-engine benches below go through the unified entry point;
-   the deprecated [serve]/[serve_windowed] wrappers are not exercised
-   here. *)
+(* All whole-engine benches below go through the unified entry point,
+   [Lc_parallel.Engine.run]. *)
 let run_static ?cost ?obs ?monitor ~domains ~queries_per_domain ~seed inst qdist =
   Lc_parallel.Engine.run
     (Lc_parallel.Engine.Config.make ?cost ?obs ?monitor ~domains ~seed ())

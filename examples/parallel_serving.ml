@@ -2,16 +2,14 @@
 
      dune exec examples/parallel_serving.exe
 
-   [multicore_demo.exe] replays pre-computed probe *plans* against
-   atomic counters. This demo goes the rest of the way: the engine in
-   [Lc_parallel.Engine] runs the *actual query algorithm* — the same
-   [Dict_intf.S] core the sequential experiments use — from m domains at
-   once, counting every probe with a per-cell fetch-and-add. A second
-   pass turns on the per-cell spinlock cost model, so probes that land
-   on the same cell genuinely serialise the way a contended cache line
-   does: now the hot-spot column is paid for in wall-clock time, and the
-   low-contention dictionary's extra probes per query stop mattering
-   because none of them queue. *)
+   The engine in [Lc_parallel.Engine] runs the *actual query algorithm*
+   — the same [Dict_intf.S] core the sequential experiments use — from
+   m domains at once, counting every probe with a per-cell
+   fetch-and-add. A second pass turns on the per-cell spinlock cost
+   model, so probes that land on the same cell genuinely serialise the
+   way a contended cache line does: now the hot-spot column is paid for
+   in wall-clock time, and the low-contention dictionary's extra probes
+   per query stop mattering because none of them queue. *)
 
 module Rng = Lc_prim.Rng
 module Qdist = Lc_cellprobe.Qdist

@@ -1,11 +1,12 @@
 (** The observability handle a subsystem threads through its hot path.
 
     An {!t} bundles one {!Metrics} registry with one {!Span} collector
-    so that instrumented code ([Lc_parallel.Engine.serve ?obs],
-    [Lc_core.Dictionary.build ?obs], the [lowcon profile] subcommand)
-    takes a single optional argument. The contract everywhere it
-    appears: {e absent means free} — the instrumented code must do no
-    telemetry work at all when no handle is supplied. *)
+    so that instrumented code ([Lc_parallel.Engine.run] through its
+    config's [obs] field, [Lc_core.Dictionary.build ?obs], the
+    [lowcon profile] subcommand) takes a single optional handle. The
+    contract everywhere it appears: {e absent means free} — the
+    instrumented code must do no telemetry work at all when no handle
+    is supplied. *)
 
 type t = { metrics : Metrics.t; spans : Span.t }
 

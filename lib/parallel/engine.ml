@@ -40,8 +40,8 @@ let make_locks ~cost ~space =
    through a per-cell test-and-set spinlock. Cell contents are only ever
    read ([Table.peek]); the table's own mutable counters are untouched,
    which is what makes the query path reentrant. This is the
-   telemetry-free discipline — the exact PR 1 hot path, used whenever
-   [serve] is called without [?obs]. *)
+   telemetry-free discipline, used by every static run that has neither
+   [obs] nor a monitor. *)
 let make_probe ~cost ~counters ~locks table : Lc_dict.Dict_intf.probe =
   match cost with
   | Free ->
@@ -62,31 +62,56 @@ let make_probe ~cost ~counters ~locks table : Lc_dict.Dict_intf.probe =
       Atomic.incr counters.(j);
       v
 
-(* Per-domain telemetry wired into one worker's probe closure. All
-   metric updates land in the worker's own shard (plain stores, no
-   atomics, no allocation), so the telemetry itself cannot become the
-   contended line it is trying to measure. *)
-type worker_obs = {
-  shard : Metrics.shard;
-  timeline : Span.timeline;
-  queries_c : Metrics.counter;
-  probes_c : Metrics.counter;
-  latency_h : Metrics.histogram;
-  probe_latency_h : Metrics.histogram;
-  spin_wait_h : Metrics.histogram;
-}
-
 (* Sampled per-probe latency: timing every probe with two gettimeofday
    calls would dominate a ~nanosecond table read, so measure 1 probe in
    [probe_sample_mask + 1]. *)
 let probe_sample_mask = 63
 let probe_sample_period = probe_sample_mask + 1
 
-(* [sketch], when supplied (monitored runs), receives every probed cell
-   index — the worker-private Space-Saving sketch behind the live
-   hot-cell view. *)
-let make_obs_probe ?sketch ~cost ~counters ~locks table (w : worker_obs) :
-    Lc_dict.Dict_intf.probe =
+(* Engine metric ids on an observability handle. Registration is
+   idempotent per name, so both [Monitor.create] (which must size the
+   seqlock buffers after the metrics exist) and [run] itself can call
+   this in either order. *)
+type metric_ids = {
+  m_queries : Metrics.counter;
+  m_probes : Metrics.counter;
+  m_latency : Metrics.histogram;
+  m_probe_latency : Metrics.histogram;
+  m_spin_wait : Metrics.histogram;
+  m_domains : Metrics.gauge;
+}
+
+let register_metrics (o : Lc_obs.Obs.t) =
+  {
+    m_queries =
+      Metrics.counter o.metrics ~help:"Queries served by the engine" "engine_queries_total";
+    m_probes =
+      Metrics.counter o.metrics ~help:"Cell probes issued by the engine" "engine_probes_total";
+    m_latency =
+      Metrics.histogram o.metrics ~help:"Per-query serve latency (ns)" "engine_query_latency_ns";
+    m_probe_latency =
+      Metrics.histogram o.metrics
+        ~help:
+          (Printf.sprintf "Sampled per-probe read latency (ns), 1 in %d probes"
+             (probe_sample_mask + 1))
+        "engine_probe_latency_ns";
+    m_spin_wait =
+      Metrics.histogram o.metrics
+        ~help:"Per-acquisition spinlock wait (ns); 0 = uncontended"
+        "engine_spinlock_wait_ns";
+    m_domains = Metrics.gauge o.metrics ~help:"Worker domains in the last serve" "engine_domains";
+  }
+
+(* Per-domain telemetry wired into one worker's probe closure. All
+   metric updates land in the worker's own shard (plain stores, no
+   atomics, no allocation), so the telemetry itself cannot become the
+   contended line it is trying to measure. [sketch], when supplied
+   (monitored runs), receives every probed cell index — the
+   worker-private Space-Saving sketch behind the live hot-cell view.
+   Returns the probe and a reader of its tick count (one tick per
+   probe), from which the instrumented loop adds each query's probes to
+   [engine_probes_total]. *)
+let make_obs_probe ?sketch ~cost ~counters ~locks table (ids : metric_ids) shard =
   let record_cell =
     match sketch with None -> fun _ -> () | Some s -> fun j -> Heavy.observe s j
   in
@@ -97,42 +122,43 @@ let make_obs_probe ?sketch ~cost ~counters ~locks table (w : worker_obs) :
     if tick land probe_sample_mask = 0 then begin
       let t0 = Lc_obs.Clock.now_ns () in
       let v = Table.peek table j in
-      Metrics.observe w.shard w.probe_latency_h
+      Metrics.observe shard ids.m_probe_latency
         (Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) t0));
       v
     end
     else Table.peek table j
   in
-  match cost with
-  | Free ->
-    fun ~step:_ j ->
-      Metrics.incr w.shard w.probes_c 1;
-      record_cell j;
-      Atomic.incr counters.(j);
-      sampled_peek j
-  | Spinlock { hold } ->
-    fun ~step:_ j ->
-      Metrics.incr w.shard w.probes_c 1;
-      record_cell j;
-      let l = locks.(j) in
-      (* Fast path: uncontended acquisition records zero wait without
-         touching the clock. *)
-      if Atomic.compare_and_set l false true then Metrics.observe w.shard w.spin_wait_h 0
-      else begin
-        let t0 = Lc_obs.Clock.now_ns () in
-        while not (Atomic.compare_and_set l false true) do
+  let probe : Lc_dict.Dict_intf.probe =
+    match cost with
+    | Free ->
+      fun ~step:_ j ->
+        record_cell j;
+        Atomic.incr counters.(j);
+        sampled_peek j
+    | Spinlock { hold } ->
+      fun ~step:_ j ->
+        record_cell j;
+        let l = locks.(j) in
+        (* Fast path: uncontended acquisition records zero wait without
+           touching the clock. *)
+        if Atomic.compare_and_set l false true then Metrics.observe shard ids.m_spin_wait 0
+        else begin
+          let t0 = Lc_obs.Clock.now_ns () in
+          while not (Atomic.compare_and_set l false true) do
+            Domain.cpu_relax ()
+          done;
+          Metrics.observe shard ids.m_spin_wait
+            (Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) t0))
+        end;
+        let v = sampled_peek j in
+        for _ = 1 to hold do
           Domain.cpu_relax ()
         done;
-        Metrics.observe w.shard w.spin_wait_h
-          (Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) t0))
-      end;
-      let v = sampled_peek j in
-      for _ = 1 to hold do
-        Domain.cpu_relax ()
-      done;
-      Atomic.set l false;
-      Atomic.incr counters.(j);
-      v
+        Atomic.set l false;
+        Atomic.incr counters.(j);
+        v
+  in
+  (probe, fun () -> !probe_tick)
 
 (* ------------------------------------------------------------------ *)
 (* Phase accounting                                                     *)
@@ -299,40 +325,6 @@ let sample_gc shard (g : gc_metric_ids) (cur : gc_cursor) =
   cur.gcur_minor <- minor;
   cur.gcur_promoted <- promoted;
   cur.gcur_major <- major
-
-(* Engine metric ids on an observability handle. Registration is
-   idempotent per name, so both [Monitor.create] (which must size the
-   seqlock buffers after the metrics exist) and [serve] itself can call
-   this in either order. *)
-type metric_ids = {
-  m_queries : Metrics.counter;
-  m_probes : Metrics.counter;
-  m_latency : Metrics.histogram;
-  m_probe_latency : Metrics.histogram;
-  m_spin_wait : Metrics.histogram;
-  m_domains : Metrics.gauge;
-}
-
-let register_metrics (o : Lc_obs.Obs.t) =
-  {
-    m_queries =
-      Metrics.counter o.metrics ~help:"Queries served by the engine" "engine_queries_total";
-    m_probes =
-      Metrics.counter o.metrics ~help:"Cell probes issued by the engine" "engine_probes_total";
-    m_latency =
-      Metrics.histogram o.metrics ~help:"Per-query serve latency (ns)" "engine_query_latency_ns";
-    m_probe_latency =
-      Metrics.histogram o.metrics
-        ~help:
-          (Printf.sprintf "Sampled per-probe read latency (ns), 1 in %d probes"
-             (probe_sample_mask + 1))
-        "engine_probe_latency_ns";
-    m_spin_wait =
-      Metrics.histogram o.metrics
-        ~help:"Per-acquisition spinlock wait (ns); 0 = uncontended"
-        "engine_spinlock_wait_ns";
-    m_domains = Metrics.gauge o.metrics ~help:"Worker domains in the last serve" "engine_domains";
-  }
 
 (* Update-path metric ids (builder-domain shard only). Registered next
    to [register_metrics] so the Window's frozen buffers include them;
@@ -950,263 +942,6 @@ module Monitor = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Serving                                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Sleep [total] seconds in short slices so a stop flag set at worker
-   join wakes the monitor domain promptly. *)
-let interruptible_sleep total stop =
-  let slice = 0.02 in
-  let remaining = ref total in
-  while !remaining > 0.0 && not (Atomic.get stop) do
-    let d = Float.min slice !remaining in
-    Unix.sleepf d;
-    remaining := !remaining -. d
-  done
-
-let serve_internal ?(cost = Free) ?obs ?monitor ~domains ~queries_per_domain ~seed inst qdist =
-  if domains < 1 then invalid_arg "Engine.serve: domains must be >= 1";
-  if queries_per_domain < 1 then
-    invalid_arg "Engine.serve: queries_per_domain must be >= 1";
-  (match monitor with
-  | Some (m : Monitor.t) when m.Monitor.domains <> domains ->
-    invalid_arg
-      (Printf.sprintf "Engine.serve_windowed: monitor was created for %d domains, serve got %d"
-         m.Monitor.domains domains)
-  | _ -> ());
-  (* A monitor carries its own observability handle. *)
-  let obs = match monitor with Some m -> Some m.Monitor.obs | None -> obs in
-  let (module D : Lc_dict.Dict_intf.S) = Instance.core inst in
-  let counters = Array.init D.space (fun _ -> Atomic.make 0) in
-  (match monitor with Some m -> m.Monitor.live_counts <- Some counters | None -> ());
-  let locks = make_locks ~cost ~space:D.space in
-  (* Everything per-domain (metric shards, timelines, probe closures) is
-     created on the orchestrating domain before any worker spawns, so
-     the workers themselves never touch the registry mutexes. *)
-  let setup =
-    match obs with
-    | None -> None
-    | Some (o : Lc_obs.Obs.t) ->
-      let ids = register_metrics o in
-      let main_shard = Lc_obs.Obs.shard o ~domain:0 in
-      Metrics.set_gauge main_shard ids.m_domains (float_of_int domains);
-      let main_tl = Lc_obs.Obs.timeline o ~tid:0 in
-      let workers =
-        Array.init domains (fun w ->
-            {
-              shard = Lc_obs.Obs.shard o ~domain:(w + 1);
-              timeline = Lc_obs.Obs.timeline o ~tid:(w + 1);
-              queries_c = ids.m_queries;
-              probes_c = ids.m_probes;
-              latency_h = ids.m_latency;
-              probe_latency_h = ids.m_probe_latency;
-              spin_wait_h = ids.m_spin_wait;
-            })
-      in
-      let pids = register_phase_metrics o in
-      let gids = register_gc_metrics o in
-      (* Publish the orchestrator's shard (the domains gauge) once now;
-         it is republished after the join with the idle-phase total. *)
-      (match monitor with
-      | Some m ->
-        Window.publish (Window.publisher m.Monitor.window 0) main_shard m.Monitor.orch_sketch
-      | None -> ());
-      Some (main_tl, workers, (main_shard, pids, gids))
-  in
-  (* Per-worker phase records and GC cursors, allocated by the
-     orchestrator before any domain spawns (plain single-writer stores,
-     like the metric shards); untouched on the obs-off path. *)
-  let phases = fresh_phases domains in
-  let gcursors = fresh_gc_cursors domains in
-  let journal = Option.bind monitor (fun (m : Monitor.t) -> m.Monitor.journal) in
-  let main_span name f =
-    let body () =
-      match setup with
-      | None -> f ()
-      | Some (main_tl, _, _) -> Span.with_span main_tl name f
-    in
-    match journal with
-    | None -> body ()
-    | Some j ->
-      (* Orchestrator stage boundaries (ring 0) give a postmortem its
-         coarse timeline even when the alert fires before any window. *)
-      Journal.record j ~writer:0 (Journal.Stage { name; mark = `Begin });
-      Fun.protect
-        ~finally:(fun () -> Journal.record j ~writer:0 (Journal.Stage { name; mark = `End }))
-        body
-  in
-  (* Pre-sample each domain's query batch outside the timed section so
-     throughput measures probing, not distribution sampling. *)
-  let batches =
-    main_span "sample-batches" @@ fun () ->
-    Array.init domains (fun w ->
-        let rng = Rng.create (seed + (7919 * (w + 1))) in
-        Array.init queries_per_domain (fun _ -> Qdist.sample qdist rng))
-  in
-  let worker w () =
-    let rng = Rng.create (seed lxor (104729 * (w + 1))) in
-    match (setup, monitor) with
-    | None, _ ->
-      let probe = make_probe ~cost ~counters ~locks D.table in
-      Array.iter (fun x -> ignore (D.mem ~probe rng x : bool)) batches.(w)
-    | Some (_, workers, (_, pids, gids)), None ->
-      let wo = workers.(w) in
-      let ph = phases.(w) in
-      let gcur = gcursors.(w) in
-      let probe = make_obs_probe ~cost ~counters ~locks D.table wo in
-      Span.with_span wo.timeline "serve-batch" (fun () ->
-          let w0 = Lc_obs.Clock.now_ns () in
-          gc_baseline gcur;
-          Array.iter
-            (fun x ->
-              let t0 = Lc_obs.Clock.now_ns () in
-              ignore (D.mem ~probe rng x : bool);
-              let t1 = Lc_obs.Clock.now_ns () in
-              Metrics.observe wo.shard wo.latency_h (Int64.to_int (Int64.sub t1 t0));
-              Metrics.incr wo.shard wo.queries_c 1;
-              let t2 = Lc_obs.Clock.now_ns () in
-              (* The phase stores below land after [t2]: the accounting
-                 overhead charges itself to the [other] residual, never
-                 to the phases it measures. *)
-              ph.ph_probe_ns <- ph.ph_probe_ns + Int64.to_int (Int64.sub t1 t0);
-              ph.ph_tally_ns <- ph.ph_tally_ns + Int64.to_int (Int64.sub t2 t1))
-            batches.(w);
-          sample_gc wo.shard gids gcur;
-          close_phases ph
-            ~wall_ns:(Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) w0))
-            ~pin_ns:0;
-          flush_phases wo.shard pids ph)
-    | Some (_, workers, (_, pids, gids)), Some m ->
-      let wo = workers.(w) in
-      let ph = phases.(w) in
-      let gcur = gcursors.(w) in
-      let sketch = m.Monitor.sketches.(w) in
-      let pub = Window.publisher m.Monitor.window (w + 1) in
-      let period = m.Monitor.publish_period in
-      let probe = make_obs_probe ~sketch ~cost ~counters ~locks D.table wo in
-      (* Journal a worker's publications on its own ring (w + 1): one
-         event per publish_period queries, so the recorder costs the hot
-         path nothing measurable. *)
-      let journal_publish =
-        match m.Monitor.journal with
-        | None -> fun _ -> ()
-        | Some j -> fun q -> Journal.record j ~writer:(w + 1) (Journal.Publish { queries = q })
-      in
-      Span.with_span wo.timeline "serve-batch" (fun () ->
-          let w0 = Lc_obs.Clock.now_ns () in
-          gc_baseline gcur;
-          let since_publish = ref 0 in
-          let served = ref 0 in
-          Array.iter
-            (fun x ->
-              let t0 = Lc_obs.Clock.now_ns () in
-              ignore (D.mem ~probe rng x : bool);
-              let t1 = Lc_obs.Clock.now_ns () in
-              Metrics.observe wo.shard wo.latency_h (Int64.to_int (Int64.sub t1 t0));
-              Metrics.incr wo.shard wo.queries_c 1;
-              let t2 = Lc_obs.Clock.now_ns () in
-              ph.ph_probe_ns <- ph.ph_probe_ns + Int64.to_int (Int64.sub t1 t0);
-              ph.ph_tally_ns <- ph.ph_tally_ns + Int64.to_int (Int64.sub t2 t1);
-              incr served;
-              incr since_publish;
-              if !since_publish >= period then begin
-                since_publish := 0;
-                let pb0 = Lc_obs.Clock.now_ns () in
-                sample_gc wo.shard gids gcur;
-                Window.publish pub wo.shard sketch;
-                journal_publish !served;
-                ph.ph_publish_ns <-
-                  ph.ph_publish_ns
-                  + Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) pb0)
-              end)
-            batches.(w);
-          sample_gc wo.shard gids gcur;
-          close_phases ph
-            ~wall_ns:(Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) w0))
-            ~pin_ns:0;
-          flush_phases wo.shard pids ph;
-          (* Final publication: the monitor's last tick must see the
-             complete batch (and the flushed phase totals) so windowed
-             totals reconcile exactly. Deliberately after the wall cut —
-             it cannot be charged to a phase it publishes. *)
-          Window.publish pub wo.shard sketch;
-          journal_publish !served)
-  in
-  (* The monitor domain ticks windows on its interval while workers are
-     hot; it is stopped (and joined) outside the timed section so the
-     throughput columns stay comparable with unmonitored runs. *)
-  let monitor_stop = Atomic.make false in
-  let monitor_domain =
-    match monitor with
-    | None -> None
-    | Some m ->
-      Some
-        (Domain.spawn (fun () ->
-             while not (Atomic.get monitor_stop) do
-               interruptible_sleep m.Monitor.interval_s monitor_stop;
-               if not (Atomic.get monitor_stop) then ignore (Monitor.tick m : Window.entry)
-             done))
-  in
-  let t0 = Unix.gettimeofday () in
-  let serve_t0_ns = Lc_obs.Clock.now_ns () in
-  let seconds =
-    main_span "serve" @@ fun () ->
-    let spawned = Array.init domains (fun w -> Domain.spawn (worker w)) in
-    Array.iter Domain.join spawned;
-    Unix.gettimeofday () -. t0
-  in
-  let serve_wall_ns = Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) serve_t0_ns) in
-  (* Idle/join accounting, filled in by the orchestrator now that the
-     workers' phase records are quiescent: what the serve section spent
-     spawning, joining and waiting around each worker's own batch. *)
-  (match setup with
-  | None -> ()
-  | Some (_, _, (main_shard, pids, _)) ->
-    Array.iter
-      (fun ph ->
-        ph.ph_idle_ns <- max 0 (serve_wall_ns - ph.ph_wall_ns);
-        Metrics.incr main_shard pids.p_idle_c ph.ph_idle_ns)
-      phases;
-    (* Republish the orchestrator's shard so the final tick's merged
-       snapshot carries the idle totals. *)
-    match monitor with
-    | Some m ->
-      Window.publish (Window.publisher m.Monitor.window 0) main_shard m.Monitor.orch_sketch
-    | None -> ());
-  (match monitor_domain with
-  | None -> ()
-  | Some d ->
-    Atomic.set monitor_stop true;
-    Domain.join d;
-    (* One final, authoritative window over whatever the interval ticks
-       had not yet consumed. *)
-    ignore (Monitor.tick (Option.get monitor) : Window.entry));
-  main_span "merge" @@ fun () ->
-  let counts = Array.map Atomic.get counters in
-  let total_probes = Array.fold_left ( + ) 0 counts in
-  let hottest_cell = ref 0 in
-  Array.iteri (fun j c -> if c > counts.(!hottest_cell) then hottest_cell := j) counts;
-  let hottest_count = counts.(!hottest_cell) in
-  let queries = domains * queries_per_domain in
-  ( {
-      name = D.name;
-      domains;
-      queries;
-      seconds;
-      throughput =
-        (if seconds > 0.0 then float_of_int queries /. seconds else Float.infinity);
-      total_probes;
-      counts;
-      hottest_cell = !hottest_cell;
-      hottest_count;
-      hottest_share =
-        (if total_probes = 0 then 0.0
-         else float_of_int hottest_count /. float_of_int total_probes);
-      flat_bound = float_of_int queries *. float_of_int D.max_probes /. float_of_int D.space;
-    },
-    match setup with None -> None | Some _ -> Some phases )
-
-(* ------------------------------------------------------------------ *)
 (* The unified entry point                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1264,454 +999,371 @@ type outcome = {
   phases : phase_stats array option;
 }
 
-let monitored_outcome ?updates ?phases result = function
-  | None -> { result; windows = []; cells = None; alert_windows = 0; updates; phases }
-  | Some (m : Monitor.t) ->
-    {
-      result;
-      windows = Window.entries m.Monitor.window;
-      cells = Some (Window.live_cells m.Monitor.window);
-      alert_windows = Window.alert_fired_total m.Monitor.window;
-      updates;
-      phases;
-    }
+(* ------------------------------------------------------------------ *)
+(* Serving                                                              *)
+(* ------------------------------------------------------------------ *)
 
-(* The dynamic serving mode: [domains] reader domains drain pre-split
-   query batches through epoch-pinned lock-free probes while one builder
-   domain applies the update subsequence in stream order, publishing a
-   fresh snapshot every [publish_every] updates and reclaiming retired
-   levels as readers leave. The spinlock cost model is a per-cell lock
-   array sized at build time — meaningless when the cell set changes per
-   publication — so dynamic serving accepts only [Free]. *)
-let serve_dynamic (cfg : Config.t) ~epoch ~ops ~publish_every =
-  let { Config.domains; seed; cost; obs; monitor } = cfg in
-  if domains < 1 then invalid_arg "Engine.run: domains must be >= 1";
-  if publish_every < 1 then invalid_arg "Engine.run: publish_every must be >= 1";
-  (match cost with
-  | Free -> ()
-  | Spinlock _ ->
-    invalid_arg "Engine.run: the Spinlock cost model applies to static serving only");
-  (match monitor with
-  | Some (m : Monitor.t) when m.Monitor.domains <> domains ->
-    invalid_arg
-      (Printf.sprintf "Engine.run: monitor was created for %d domains, run got %d"
-         m.Monitor.domains domains)
-  | _ -> ());
-  let obs = match monitor with Some m -> Some m.Monitor.obs | None -> obs in
-  (* Adaptive runs: wire the controller's act step to the epoch's boost
-     request channel before anything spawns. The monitor domain decides
-     (Monitor.tick -> Controller.observe -> request_boost, one
-     Atomic.set); the builder domain applies at its next publication. *)
-  let controller = Option.bind monitor (fun m -> m.Monitor.controller) in
-  (match controller with
-  | None -> ()
-  | Some ctl ->
-    Lc_control.Controller.set_actuator ctl (fun ~id ~boost ->
-        Epoch.request_boost epoch ~id ~boost);
-    Lc_control.Controller.set_applied_reader ctl (fun () -> Epoch.applied_boost epoch));
-  let updates, query_batches = Opstream.split ops ~domains in
-  let total_queries = Array.fold_left (fun acc b -> acc + Array.length b) 0 query_batches in
-  (* Readers are registered on the orchestrator so worker domains never
-     race the slot allocator; each gets a private rng. *)
-  let readers =
-    Array.init domains (fun w -> Epoch.reader epoch (Rng.create (seed lxor (104729 * (w + 1)))))
+(* Sleep [total] seconds in short slices so a stop flag set at worker
+   join wakes the monitor domain promptly. *)
+let interruptible_sleep total stop =
+  let slice = 0.02 in
+  let remaining = ref total in
+  while !remaining > 0.0 && not (Atomic.get stop) do
+    let d = Float.min slice !remaining in
+    Unix.sleepf d;
+    remaining := !remaining -. d
+  done
+
+(* A dynamic run's builder-side telemetry: its shard, timeline and
+   update metric ids, a recorder for its journal ring [domains + 2]
+   (silent unless the journal was sized for it, so journals with
+   [domains + 2] rings keep working), and the publication of its window
+   slot [domains + 1] (a no-op without a monitor). *)
+type builder_obs = {
+  b_shard : Metrics.shard;
+  b_timeline : Span.timeline;
+  b_ids : update_metric_ids;
+  b_record : Journal.kind -> unit;
+  b_publish : unit -> unit;
+}
+
+(* An instrumented run's plumbing, created on the orchestrating domain
+   before any worker spawns so the workers never touch the registry
+   mutexes: shard and timeline 0 are the orchestrator's, 1..domains the
+   workers', domains + 1 the builder's. The phase records and GC cursors
+   (slot [domains] is the builder's cursor) are plain single-writer
+   stores, like the shards. *)
+type telemetry = {
+  ids : metric_ids;
+  main_shard : Metrics.shard;
+  main_tl : Span.timeline;
+  workers : (Metrics.shard * Span.timeline) array;
+  builder : builder_obs option;
+  pids : phase_metric_ids;
+  gids : gc_metric_ids;
+  phase_recs : phase_stats array;
+  gcursors : gc_cursor array;
+}
+
+(* Registration order fixes the order of the Prometheus and JSON
+   exports: the engine metrics, then a dynamic run's update metrics,
+   then the phase and GC ids. *)
+let instrument ?monitor (o : Lc_obs.Obs.t) ~domains ~dynamic =
+  let ids = register_metrics o in
+  let main_shard = Lc_obs.Obs.shard o ~domain:0 in
+  Metrics.set_gauge main_shard ids.m_domains (float_of_int domains);
+  let main_tl = Lc_obs.Obs.timeline o ~tid:0 in
+  let workers =
+    Array.init domains (fun w ->
+        let shard = Lc_obs.Obs.shard o ~domain:(w + 1) in
+        (shard, Lc_obs.Obs.timeline o ~tid:(w + 1)))
   in
-  let hits = Array.make domains 0 in
-  (* Per-domain observability plumbing, as in the static path: shard
-     0 = orchestrator, 1..domains = readers, domains + 1 = builder. *)
-  let setup =
-    match obs with
-    | None -> None
-    | Some (o : Lc_obs.Obs.t) ->
-      let ids = register_metrics o in
-      let main_shard = Lc_obs.Obs.shard o ~domain:0 in
-      Metrics.set_gauge main_shard ids.m_domains (float_of_int domains);
-      let main_tl = Lc_obs.Obs.timeline o ~tid:0 in
-      let workers =
-        Array.init domains (fun w ->
-            {
-              shard = Lc_obs.Obs.shard o ~domain:(w + 1);
-              timeline = Lc_obs.Obs.timeline o ~tid:(w + 1);
-              queries_c = ids.m_queries;
-              probes_c = ids.m_probes;
-              latency_h = ids.m_latency;
-              probe_latency_h = ids.m_probe_latency;
-              spin_wait_h = ids.m_spin_wait;
-            })
+  let builder =
+    if not dynamic then None
+    else begin
+      let b_shard = Lc_obs.Obs.shard o ~domain:(domains + 1) in
+      let b_timeline = Lc_obs.Obs.timeline o ~tid:(domains + 1) in
+      let b_ids = register_update_metrics o in
+      let b_record =
+        match Option.bind monitor (fun (m : Monitor.t) -> m.Monitor.journal) with
+        | Some j when Journal.writers j >= domains + 3 ->
+          fun ev -> Journal.record j ~writer:(domains + 2) ev
+        | _ -> fun _ -> ()
       in
-      let builder_shard = Lc_obs.Obs.shard o ~domain:(domains + 1) in
-      let builder_tl = Lc_obs.Obs.timeline o ~tid:(domains + 1) in
-      let uids = register_update_metrics o in
-      let pids = register_phase_metrics o in
-      let gids = register_gc_metrics o in
-      (match monitor with
-      | Some m ->
-        Window.publish (Window.publisher m.Monitor.window 0) main_shard m.Monitor.orch_sketch
-      | None -> ());
-      Some (main_tl, workers, (main_shard, pids, gids), (builder_shard, builder_tl, uids))
-  in
-  (* Reader phase records and GC cursors (slot [domains] is the
-     builder's GC cursor), orchestrator-allocated before any spawn. *)
-  let phases = fresh_phases domains in
-  let gcursors = fresh_gc_cursors (domains + 1) in
-  let journal = Option.bind monitor (fun (m : Monitor.t) -> m.Monitor.journal) in
-  let main_span name f =
-    let body () =
-      match setup with
-      | None -> f ()
-      | Some (main_tl, _, _, _) -> Span.with_span main_tl name f
-    in
-    match journal with
-    | None -> body ()
-    | Some j ->
-      Journal.record j ~writer:0 (Journal.Stage { name; mark = `Begin });
-      Fun.protect
-        ~finally:(fun () -> Journal.record j ~writer:0 (Journal.Stage { name; mark = `End }))
-        body
-  in
-  (* Builder-side totals, written by the builder domain and read by the
-     orchestrator strictly after the join. [b_ns] is the builder's wall
-     time over the whole update stream — the denominator-free numerator
-     of ns/update, measured whether or not telemetry is attached. *)
-  let b_inserts = ref 0 and b_deletes = ref 0 in
-  let b_ns = ref 0 in
-  (* Run-scoped baselines: a preloaded epoch arrives with build work
-     already on its lifetime totals (Dynamic counters never reset),
-     while the engine_* metrics only ever see this run — subtracting
-     the baseline keeps [update_stats] reconciling exactly with the
-     counters and the windowed sums. *)
-  let cells0 = Lc_dynamic.Dynamic.cells_written (Epoch.inner epoch) in
-  let rebuilds0 = Lc_dynamic.Dynamic.rebuilds (Epoch.inner epoch) in
-  let rebuild_ns0 = Lc_dynamic.Dynamic.rebuild_ns (Epoch.inner epoch) in
-  let publish_ns0 = Epoch.publish_ns_total epoch in
-  (* Builder journal ring (writer domains + 2) — recorded only when the
-     journal was sized for it, so PR 6-era journals (domains + 2 rings)
-     keep working with the builder simply silent. *)
-  let bjournal =
-    match journal with
-    | Some j when Journal.writers j >= domains + 3 -> Some j
-    | _ -> None
-  in
-  let bwriter = domains + 2 in
-  (* One-way flag, like monitor_stop: the orchestrator sets it (once,
-     after joining the readers); an adaptive run's builder polls it to
-     end its keep-alive loop. *)
-  let readers_done = Atomic.make false in
-  let builder () =
-    let t_start = Lc_obs.Clock.now_ns () in
-    (match setup with
-    | None ->
-      let apply_updates () =
-        let applied = ref 0 in
-        Array.iter
-          (fun op ->
-            (match op with
-            | Opstream.Insert x ->
-              Epoch.insert epoch x;
-              incr b_inserts
-            | Opstream.Delete x ->
-              Epoch.delete epoch x;
-              incr b_deletes
-            | Opstream.Query _ -> assert false (* split put queries elsewhere *));
-            incr applied;
-            if !applied mod publish_every = 0 then begin
-              Epoch.publish epoch;
-              ignore (Epoch.try_reclaim epoch : int)
-            end)
-          updates;
-        (* Final publication: readers finish against the complete table. *)
-        Epoch.publish epoch;
-        ignore (Epoch.try_reclaim epoch : int)
-      in
-      apply_updates ()
-    | Some (_, _, (_, _, gids), (bshard, btl, uids)) ->
-      let bgcur = gcursors.(domains) in
-      gc_baseline bgcur;
-      (* Every level build lands in the builder's own shard (plain
-         stores) the moment it happens — the windowed view and the
-         flight recorder see rebuild cost mid-run, not at join. *)
-      Lc_dynamic.Dynamic.set_build_hook (Epoch.inner epoch) (fun bi ->
-          Metrics.incr bshard uids.u_cells_c bi.Lc_dynamic.Dynamic.bi_cells;
-          Metrics.observe bshard uids.u_rebuild_h bi.Lc_dynamic.Dynamic.bi_ns;
-          match bjournal with
-          | None -> ()
-          | Some j ->
-            Journal.record j ~writer:bwriter
-              (Journal.Level_merge
-                 {
-                   level = bi.Lc_dynamic.Dynamic.bi_index;
-                   keys = bi.Lc_dynamic.Dynamic.bi_keys;
-                   replicas = bi.Lc_dynamic.Dynamic.bi_replicas;
-                   cells = bi.Lc_dynamic.Dynamic.bi_cells;
-                   dur_ns = bi.Lc_dynamic.Dynamic.bi_ns;
-                 }));
-      let bpub =
+      let b_publish =
         match monitor with
-        | None -> None
+        | None -> fun () -> ()
         | Some m ->
-          Some (Window.publisher m.Monitor.window (domains + 1), m.Monitor.builder_sketch)
+          let pub = Window.publisher m.Monitor.window (domains + 1) in
+          fun () -> Window.publish pub b_shard m.Monitor.builder_sketch
       in
-      let publish_now () =
-        (* Act: a pending controller request re-replicates the affected
-           levels right here on the builder domain (through the
-           accounted build path — the Level_merge events and rebuild
-           counters above fire for each), and the publish just below
-           makes them visible. Readers are never blocked: they keep
-           serving the previous snapshot until the one Atomic.set. *)
-        let applied = Epoch.apply_boost_request epoch in
-        let pi = Epoch.publish_stats epoch in
-        (match (applied, bjournal) with
-        | Some ba, Some j ->
-          Journal.record j ~writer:bwriter
-            (Journal.Control_applied
-               {
-                 id = ba.Epoch.ba_id;
-                 epoch = pi.Epoch.pi_epoch;
-                 boost = ba.Epoch.ba_boost;
-                 levels = ba.Epoch.ba_levels;
-                 cells = ba.Epoch.ba_cells;
-                 dur_ns = ba.Epoch.ba_ns;
-               })
-        | _ -> ());
-        Metrics.incr bshard uids.u_pubs_c 1;
-        Metrics.observe bshard uids.u_publish_h pi.Epoch.pi_dur_ns;
-        Metrics.observe bshard uids.u_batch_h pi.Epoch.pi_batch;
-        (match bjournal with
-        | None -> ()
-        | Some j ->
-          Journal.record j ~writer:bwriter
-            (Journal.Epoch_publish
-               {
-                 epoch = pi.Epoch.pi_epoch;
-                 batch = pi.Epoch.pi_batch;
-                 levels = pi.Epoch.pi_levels;
-                 fresh_cells = pi.Epoch.pi_fresh_cells;
-                 dur_ns = pi.Epoch.pi_dur_ns;
-               }));
-        let freed = Epoch.try_reclaim epoch in
-        if freed > 0 then begin
-          Metrics.incr bshard uids.u_reclaimed_c freed;
-          match bjournal with
-          | None -> ()
-          | Some j ->
-            Journal.record j ~writer:bwriter
-              (Journal.Reclaim
-                 {
-                   epoch = pi.Epoch.pi_epoch;
-                   freed;
-                   lag = Epoch.reclaim_lag_max epoch;
-                   pending = Epoch.retired_pending epoch;
-                 })
-        end;
-        Metrics.set_gauge bshard uids.u_epoch_g (float_of_int pi.Epoch.pi_epoch);
-        Metrics.set_gauge bshard uids.u_retired_g
-          (float_of_int (Epoch.retired_pending epoch));
-        Metrics.set_gauge bshard uids.u_lag_g (float_of_int (Epoch.reader_lag epoch));
-        (* Builder allocation (level rebuilds dominate it) flushes at
-           every publication so the windowed GC view sees write-side
-           churn mid-run. *)
-        sample_gc bshard gids bgcur;
-        match bpub with
-        | None -> ()
-        | Some (pub, sketch) -> Window.publish pub bshard sketch
-      in
-      Span.with_span btl "apply-updates" (fun () ->
-          let applied = ref 0 in
-          Array.iter
-            (fun op ->
-              (match op with
-              | Opstream.Insert x ->
-                Epoch.insert epoch x;
-                incr b_inserts;
-                Metrics.incr bshard uids.u_inserts_c 1
-              | Opstream.Delete x ->
-                Epoch.delete epoch x;
-                incr b_deletes;
-                Metrics.incr bshard uids.u_deletes_c 1
-              | Opstream.Query _ -> assert false (* split put queries elsewhere *));
-              incr applied;
-              if !applied mod publish_every = 0 then publish_now ())
-            updates;
-          (* Final publication: readers finish against the complete
-             table, and the monitor's last tick sees the complete
-             builder shard. *)
-          publish_now ());
-      (* Adaptive runs: the update stream may drain long before the
-         readers do, and without a builder no one could apply the
-         controller's requests — so keep the builder alive until the
-         orchestrator joins the readers, publishing whenever a boost
-         request lands and dozing (never spinning) otherwise. The final
-         check drains a request that raced the readers_done flag, so
-         the post-run /control.json shows applied = target. *)
-      (match controller with
-      | None -> ()
-      | Some _ ->
-        Span.with_span btl "boost-keepalive" (fun () ->
-            while not (Atomic.get readers_done) do
-              if Epoch.boost_pending epoch then publish_now () else Unix.sleepf 0.001
-            done;
-            if Epoch.boost_pending epoch then publish_now ()));
-      Lc_dynamic.Dynamic.clear_build_hook (Epoch.inner epoch));
-    b_ns := Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) t_start)
+      Some { b_shard; b_timeline; b_ids; b_record; b_publish }
+    end
   in
-  let worker w () =
-    let r = readers.(w) in
-    let batch = query_batches.(w) in
-    match (setup, monitor) with
-    | None, _ ->
-      let h = ref 0 in
-      Array.iter (fun x -> if Epoch.mem epoch r x then incr h) batch;
-      hits.(w) <- !h
-    | Some (_, workers, (_, pids, gids), _), None ->
-      let wo = workers.(w) in
-      let ph = phases.(w) in
-      let gcur = gcursors.(w) in
-      Span.with_span wo.timeline "serve-batch" (fun () ->
-          let w0 = Lc_obs.Clock.now_ns () in
-          gc_baseline gcur;
-          let h = ref 0 in
-          Array.iter
-            (fun x ->
-              let p0 = Epoch.reader_probes r in
-              let t0 = Lc_obs.Clock.now_ns () in
-              if Epoch.mem_phased epoch r x then incr h;
-              let t1 = Lc_obs.Clock.now_ns () in
-              Metrics.observe wo.shard wo.latency_h (Int64.to_int (Int64.sub t1 t0));
-              Metrics.incr wo.shard wo.queries_c 1;
-              Metrics.incr wo.shard wo.probes_c (Epoch.reader_probes r - p0);
-              let t2 = Lc_obs.Clock.now_ns () in
-              ph.ph_probe_ns <- ph.ph_probe_ns + Int64.to_int (Int64.sub t1 t0);
-              ph.ph_tally_ns <- ph.ph_tally_ns + Int64.to_int (Int64.sub t2 t1))
-            batch;
-          hits.(w) <- !h;
-          sample_gc wo.shard gids gcur;
-          (* [mem_phased] accumulated pin/unpin ns inside the probe
-             windows; [close_phases] carves them out so probe means
-             probe. *)
-          close_phases ph
-            ~wall_ns:(Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) w0))
-            ~pin_ns:(Epoch.reader_pin_ns r);
-          flush_phases wo.shard pids ph)
-    | Some (_, workers, (_, pids, gids), _), Some m ->
-      let wo = workers.(w) in
-      let ph = phases.(w) in
-      let gcur = gcursors.(w) in
-      let sketch = m.Monitor.sketches.(w) in
+  let pids = register_phase_metrics o in
+  let gids = register_gc_metrics o in
+  let phase_recs = fresh_phases domains and gcursors = fresh_gc_cursors (domains + 1) in
+  (* Publish the orchestrator's shard (the domains gauge) once now; it
+     is republished after the join with the idle-phase total. *)
+  (match monitor with
+  | Some m ->
+    Window.publish (Window.publisher m.Monitor.window 0) main_shard m.Monitor.orch_sketch
+  | None -> ());
+  { ids; main_shard; main_tl; workers; builder; pids; gids; phase_recs; gcursors }
+
+(* An orchestrator stage: a span on timeline 0 when instrumented, and
+   begin/end marks on journal ring 0, which give a postmortem its coarse
+   timeline even when the alert fires before any window. *)
+let main_span ?tel ?monitor name f =
+  let body () = match tel with None -> f () | Some t -> Span.with_span t.main_tl name f in
+  match Option.bind monitor (fun (m : Monitor.t) -> m.Monitor.journal) with
+  | None -> body ()
+  | Some j ->
+    Journal.record j ~writer:0 (Journal.Stage { name; mark = `Begin });
+    Fun.protect
+      ~finally:(fun () -> Journal.record j ~writer:0 (Journal.Stage { name; mark = `End }))
+      body
+
+(* What an instrumented worker serves from: its query function and
+   readers of its cumulative probe count and epoch pin/unpin ns — the
+   static obs probe's tick count and 0, or a dynamic reader's own
+   tallies. *)
+type source = { query : int -> bool; probes : unit -> int; pin_ns : unit -> int }
+
+(* A monitored worker's window publication through seqlock slot w + 1,
+   made every [period] queries and once at batch end, and journaled on
+   the worker's own ring: one event per period, so the recorder costs
+   the hot path nothing measurable. *)
+type publisher = { period : int; publish : int -> unit }
+
+let worker_publisher ?monitor (t : telemetry) w =
+  Option.map
+    (fun (m : Monitor.t) ->
       let pub = Window.publisher m.Monitor.window (w + 1) in
-      let period = m.Monitor.publish_period in
-      (* The observe hook feeds every probed cell (snapshot-global id)
-         into the worker-private sketch, like the static obs probe. *)
-      Epoch.set_observe r (fun cell -> Heavy.observe sketch cell);
+      let shard, _ = t.workers.(w) and sketch = m.Monitor.sketches.(w) in
       let journal_publish =
         match m.Monitor.journal with
         | None -> fun _ -> ()
         | Some j -> fun q -> Journal.record j ~writer:(w + 1) (Journal.Publish { queries = q })
       in
-      Span.with_span wo.timeline "serve-batch" (fun () ->
-          let w0 = Lc_obs.Clock.now_ns () in
-          gc_baseline gcur;
-          let h = ref 0 in
-          let since_publish = ref 0 in
-          let served = ref 0 in
-          Array.iter
-            (fun x ->
-              let p0 = Epoch.reader_probes r in
-              let t0 = Lc_obs.Clock.now_ns () in
-              if Epoch.mem_phased epoch r x then incr h;
-              let t1 = Lc_obs.Clock.now_ns () in
-              Metrics.observe wo.shard wo.latency_h (Int64.to_int (Int64.sub t1 t0));
-              Metrics.incr wo.shard wo.queries_c 1;
-              Metrics.incr wo.shard wo.probes_c (Epoch.reader_probes r - p0);
-              let t2 = Lc_obs.Clock.now_ns () in
-              ph.ph_probe_ns <- ph.ph_probe_ns + Int64.to_int (Int64.sub t1 t0);
-              ph.ph_tally_ns <- ph.ph_tally_ns + Int64.to_int (Int64.sub t2 t1);
-              incr served;
-              incr since_publish;
-              if !since_publish >= period then begin
-                since_publish := 0;
-                let pb0 = Lc_obs.Clock.now_ns () in
-                sample_gc wo.shard gids gcur;
-                Window.publish pub wo.shard sketch;
-                journal_publish !served;
-                ph.ph_publish_ns <-
-                  ph.ph_publish_ns
-                  + Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) pb0)
-              end)
-            batch;
-          hits.(w) <- !h;
-          sample_gc wo.shard gids gcur;
-          close_phases ph
-            ~wall_ns:(Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) w0))
-            ~pin_ns:(Epoch.reader_pin_ns r);
-          flush_phases wo.shard pids ph;
-          Window.publish pub wo.shard sketch;
-          journal_publish !served);
-      Epoch.clear_observe r
+      {
+        period = m.Monitor.publish_period;
+        publish =
+          (fun served ->
+            Window.publish pub shard sketch;
+            journal_publish served);
+      })
+    monitor
+
+(* The instrumented worker loop, shared by static and dynamic runs:
+   per-query latency, the query counter and the query's probe count,
+   the phase split, GC samples and, given a publisher, the window
+   publications. Returns the number of queries answered [true]. *)
+let instrumented_loop (t : telemetry) w ?publisher (src : source) batch =
+  let shard, timeline = t.workers.(w) and ph = t.phase_recs.(w) and gcur = t.gcursors.(w) in
+  Span.with_span timeline "serve-batch" @@ fun () ->
+  let w0 = Lc_obs.Clock.now_ns () in
+  gc_baseline gcur;
+  let hits = ref 0 and served = ref 0 and since_publish = ref 0 in
+  Array.iter
+    (fun x ->
+      let p0 = src.probes () in
+      let t0 = Lc_obs.Clock.now_ns () in
+      if src.query x then incr hits;
+      let t1 = Lc_obs.Clock.now_ns () in
+      Metrics.observe shard t.ids.m_latency (Int64.to_int (Int64.sub t1 t0));
+      Metrics.incr shard t.ids.m_queries 1;
+      Metrics.incr shard t.ids.m_probes (src.probes () - p0);
+      let t2 = Lc_obs.Clock.now_ns () in
+      (* The phase stores below land after [t2]: the accounting
+         overhead charges itself to the [other] residual, never to the
+         phases it measures. *)
+      ph.ph_probe_ns <- ph.ph_probe_ns + Int64.to_int (Int64.sub t1 t0);
+      ph.ph_tally_ns <- ph.ph_tally_ns + Int64.to_int (Int64.sub t2 t1);
+      match publisher with
+      | None -> ()
+      | Some p ->
+        incr served;
+        incr since_publish;
+        if !since_publish >= p.period then begin
+          since_publish := 0;
+          let pb0 = Lc_obs.Clock.now_ns () in
+          sample_gc shard t.gids gcur;
+          p.publish !served;
+          ph.ph_publish_ns <-
+            ph.ph_publish_ns + Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) pb0)
+        end)
+    batch;
+  sample_gc shard t.gids gcur;
+  (* A dynamic reader's pin/unpin ns accrued inside the probe windows;
+     [close_phases] carves them out so probe means probe. *)
+  close_phases ph
+    ~wall_ns:(Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) w0))
+    ~pin_ns:(src.pin_ns ());
+  flush_phases shard t.pids ph;
+  (* Final publication: the monitor's last tick must see the complete
+     batch (and the flushed phase totals) so windowed totals reconcile
+     exactly. Deliberately after the wall cut — it cannot be charged to
+     a phase it publishes. *)
+  Option.iter (fun p -> p.publish !served) publisher;
+  !hits
+
+(* One reclamation pass reported on the builder shard: the freed count
+   (journaled with the epoch it ran at) and the retired-pending and
+   reader-lag gauges. The builder runs it after every publication, the
+   orchestrator once more after the join. *)
+let reclaim_reported (b : builder_obs) epoch ~epoch_no =
+  let freed = Epoch.try_reclaim epoch in
+  let pending = Epoch.retired_pending epoch in
+  if freed > 0 then begin
+    Metrics.incr b.b_shard b.b_ids.u_reclaimed_c freed;
+    let lag = Epoch.reclaim_lag_max epoch in
+    b.b_record (Journal.Reclaim { epoch = epoch_no; freed; lag; pending })
+  end;
+  Metrics.set_gauge b.b_shard b.b_ids.u_retired_g (float_of_int pending);
+  Metrics.set_gauge b.b_shard b.b_ids.u_lag_g (float_of_int (Epoch.reader_lag epoch))
+
+(* An instrumented run's builder: the update loop [apply_updates] given
+   the telemetry publication step, then, for adaptive runs, the
+   keep-alive loop. *)
+let instrumented_builder (b : builder_obs) ~gids ~gcur ~adaptive ~readers_done epoch ~inserts
+    ~deletes apply_updates =
+  gc_baseline gcur;
+  (* Every level build lands in the builder's own shard (plain stores)
+     the moment it happens — the windowed view and the flight recorder
+     see rebuild cost mid-run, not at join. *)
+  Lc_dynamic.Dynamic.set_build_hook (Epoch.inner epoch) (fun bi ->
+      Metrics.incr b.b_shard b.b_ids.u_cells_c bi.Lc_dynamic.Dynamic.bi_cells;
+      Metrics.observe b.b_shard b.b_ids.u_rebuild_h bi.Lc_dynamic.Dynamic.bi_ns;
+      b.b_record
+        (Journal.Level_merge
+           {
+             level = bi.Lc_dynamic.Dynamic.bi_index;
+             keys = bi.Lc_dynamic.Dynamic.bi_keys;
+             replicas = bi.Lc_dynamic.Dynamic.bi_replicas;
+             cells = bi.Lc_dynamic.Dynamic.bi_cells;
+             dur_ns = bi.Lc_dynamic.Dynamic.bi_ns;
+           }));
+  (* The insert and delete counters take the loop's deltas at each
+     publication, the only point where the builder shard becomes
+     visible, so the update loop is the uninstrumented one. *)
+  let counted_inserts = ref 0 and counted_deletes = ref 0 in
+  let publish_now () =
+    (* Act: a pending controller request re-replicates the affected
+       levels right here on the builder domain (through the accounted
+       build path — the Level_merge events and rebuild counters above
+       fire for each), and the publish just below makes them visible.
+       Readers are never blocked: they keep serving the previous
+       snapshot until the one Atomic.set. *)
+    let applied = Epoch.apply_boost_request epoch in
+    let pi = Epoch.publish_stats epoch in
+    Option.iter
+      (fun (ba : Epoch.boost_applied) ->
+        b.b_record
+          (Journal.Control_applied
+             {
+               id = ba.Epoch.ba_id;
+               epoch = pi.Epoch.pi_epoch;
+               boost = ba.Epoch.ba_boost;
+               levels = ba.Epoch.ba_levels;
+               cells = ba.Epoch.ba_cells;
+               dur_ns = ba.Epoch.ba_ns;
+             }))
+      applied;
+    Metrics.incr b.b_shard b.b_ids.u_inserts_c (!inserts - !counted_inserts);
+    Metrics.incr b.b_shard b.b_ids.u_deletes_c (!deletes - !counted_deletes);
+    counted_inserts := !inserts;
+    counted_deletes := !deletes;
+    Metrics.incr b.b_shard b.b_ids.u_pubs_c 1;
+    Metrics.observe b.b_shard b.b_ids.u_publish_h pi.Epoch.pi_dur_ns;
+    Metrics.observe b.b_shard b.b_ids.u_batch_h pi.Epoch.pi_batch;
+    b.b_record
+      (Journal.Epoch_publish
+         {
+           epoch = pi.Epoch.pi_epoch;
+           batch = pi.Epoch.pi_batch;
+           levels = pi.Epoch.pi_levels;
+           fresh_cells = pi.Epoch.pi_fresh_cells;
+           dur_ns = pi.Epoch.pi_dur_ns;
+         });
+    reclaim_reported b epoch ~epoch_no:pi.Epoch.pi_epoch;
+    Metrics.set_gauge b.b_shard b.b_ids.u_epoch_g (float_of_int pi.Epoch.pi_epoch);
+    (* Builder allocation (level rebuilds dominate it) flushes at every
+       publication so the windowed GC view sees write-side churn
+       mid-run. *)
+    sample_gc b.b_shard gids gcur;
+    b.b_publish ()
   in
+  Span.with_span b.b_timeline "apply-updates" (fun () -> apply_updates publish_now);
+  (* Adaptive runs: the update stream may drain long before the readers
+     do, and without a builder no one could apply the controller's
+     requests — so keep the builder alive until the orchestrator joins
+     the readers, publishing whenever a boost request lands and dozing
+     (never spinning) otherwise. The final check drains a request that
+     raced the readers_done flag, so the post-run /control.json shows
+     applied = target. *)
+  if adaptive then
+    Span.with_span b.b_timeline "boost-keepalive" (fun () ->
+        while not (Atomic.get readers_done) do
+          if Epoch.boost_pending epoch then publish_now () else Unix.sleepf 0.001
+        done;
+        if Epoch.boost_pending epoch then publish_now ());
+  Lc_dynamic.Dynamic.clear_build_hook (Epoch.inner epoch)
+
+(* Spawn the workers (and a dynamic run's [builder], handed the flag
+   raised once the workers have joined), join everything, then do the
+   post-join bookkeeping: idle phases, the orchestrator's
+   republication, [settle], and the final authoritative window. The
+   monitor domain ticks windows on its interval while workers are hot;
+   it is stopped (and joined) outside the timed section so the
+   throughput columns stay comparable with unmonitored runs. Returns
+   the serve wall-clock seconds. *)
+let serve_domains ?monitor ?tel ?builder ?(settle = ignore) ~domains worker =
   let monitor_stop = Atomic.make false in
   let monitor_domain =
-    match monitor with
-    | None -> None
-    | Some m ->
-      Some
-        (Domain.spawn (fun () ->
-             while not (Atomic.get monitor_stop) do
-               interruptible_sleep m.Monitor.interval_s monitor_stop;
-               if not (Atomic.get monitor_stop) then ignore (Monitor.tick m : Window.entry)
-             done))
+    Option.map
+      (fun m ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get monitor_stop) do
+              interruptible_sleep m.Monitor.interval_s monitor_stop;
+              if not (Atomic.get monitor_stop) then ignore (Monitor.tick m : Window.entry)
+            done))
+      monitor
   in
+  let readers_done = Atomic.make false in
   let t0 = Unix.gettimeofday () in
   let serve_t0_ns = Lc_obs.Clock.now_ns () in
   let seconds =
-    main_span "serve" @@ fun () ->
-    let builder_d = Domain.spawn builder in
+    main_span ?tel ?monitor "serve" @@ fun () ->
+    let builder_d = Option.map (fun b -> Domain.spawn (fun () -> b readers_done)) builder in
     let spawned = Array.init domains (fun w -> Domain.spawn (worker w)) in
     Array.iter Domain.join spawned;
-    (* Readers gone: release an adaptive builder from its keep-alive
-       loop (a no-op flag for non-adaptive runs, whose builder exited
-       when the update stream drained). *)
     Atomic.set readers_done true;
-    Domain.join builder_d;
+    Option.iter Domain.join builder_d;
     Unix.gettimeofday () -. t0
   in
   let serve_wall_ns = Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) serve_t0_ns) in
-  (match setup with
+  (* Idle/join accounting, filled in by the orchestrator now that the
+     workers' phase records are quiescent: what the serve section spent
+     spawning, joining and waiting around each worker's own batch. The
+     orchestrator's shard is republished so the final tick's merged
+     snapshot carries the idle totals. *)
+  (match tel with
   | None -> ()
-  | Some (_, _, (main_shard, pids, _), _) ->
+  | Some t ->
     Array.iter
       (fun ph ->
         ph.ph_idle_ns <- max 0 (serve_wall_ns - ph.ph_wall_ns);
-        Metrics.incr main_shard pids.p_idle_c ph.ph_idle_ns)
-      phases;
-    match monitor with
-    | Some m ->
-      Window.publish (Window.publisher m.Monitor.window 0) main_shard m.Monitor.orch_sketch
-    | None -> ());
+        Metrics.incr t.main_shard t.pids.p_idle_c ph.ph_idle_ns)
+      t.phase_recs;
+    Option.iter
+      (fun m ->
+        Window.publish (Window.publisher m.Monitor.window 0) t.main_shard m.Monitor.orch_sketch)
+      monitor);
+  settle ();
   (match monitor_domain with
   | None -> ()
   | Some d ->
     Atomic.set monitor_stop true;
     Domain.join d;
     ignore (Monitor.tick (Option.get monitor) : Window.entry));
-  main_span "merge" @@ fun () ->
-  (* Every reader is quiescent now, so the remainder of the retired list
-     reclaims here (the orchestrator has taken over the builder role). *)
-  ignore (Epoch.try_reclaim epoch : int);
-  let snap = Epoch.current epoch in
-  let counts = Epoch.snapshot_counts snap in
-  let total_probes = Array.fold_left (fun acc r -> acc + Epoch.reader_probes r) 0 readers in
+  seconds
+
+(* The result and outcome of a run. [counts], [max_probes] and [space]
+   describe the structure the run ended on (a dynamic run's final
+   snapshot, which may have no cells). *)
+let assemble ?monitor ?tel ?updates ~name ~domains ~queries ~seconds ~total_probes ~max_probes
+    ~space counts =
   let hottest_cell = ref 0 in
   Array.iteri (fun j c -> if c > counts.(!hottest_cell) then hottest_cell := j) counts;
   let hottest_count = if Array.length counts = 0 then 0 else counts.(!hottest_cell) in
-  let space = Epoch.space snap in
   let result =
     {
-      name = "lc-dyn";
+      name;
       domains;
-      queries = total_queries;
+      queries;
       seconds;
-      throughput =
-        (if seconds > 0.0 then float_of_int total_queries /. seconds else Float.infinity);
+      throughput = (if seconds > 0.0 then float_of_int queries /. seconds else Float.infinity);
       total_probes;
       counts;
       hottest_cell = !hottest_cell;
@@ -1721,51 +1373,219 @@ let serve_dynamic (cfg : Config.t) ~epoch ~ops ~publish_every =
          else float_of_int hottest_count /. float_of_int total_probes);
       flat_bound =
         (if space = 0 then 0.0
-         else
-           float_of_int total_queries
-           *. float_of_int (Epoch.max_probes snap)
-           /. float_of_int space);
+         else float_of_int queries *. float_of_int max_probes /. float_of_int space);
     }
   in
-  let inner = Epoch.inner epoch in
-  let updates_stats =
-    {
-      inserts = !b_inserts;
-      deletes = !b_deletes;
-      query_hits = Array.fold_left ( + ) 0 hits;
-      publications = Epoch.publications epoch;
-      reclaimed = Epoch.reclaimed epoch;
-      retired_pending = Epoch.retired_pending epoch;
-      keys_rebuilt = Lc_dynamic.Dynamic.keys_rebuilt inner;
-      purges = Lc_dynamic.Dynamic.purges inner;
-      final_live = Epoch.live snap;
-      final_epoch = Epoch.epoch snap;
-      cells_written = Lc_dynamic.Dynamic.cells_written inner - cells0;
-      rebuilds = Lc_dynamic.Dynamic.rebuilds inner - rebuilds0;
-      rebuild_ns = Lc_dynamic.Dynamic.rebuild_ns inner - rebuild_ns0;
-      publish_ns = Epoch.publish_ns_total epoch - publish_ns0;
-      write_amp =
-        (if !b_inserts > 0 then
-           float_of_int (Lc_dynamic.Dynamic.cells_written inner - cells0)
-           /. float_of_int !b_inserts
-         else 0.0);
-      builder_ns = !b_ns;
-      reclaim_lag_max = Epoch.reclaim_lag_max epoch;
-    }
+  let windows, cells, alert_windows =
+    match monitor with
+    | None -> ([], None, 0)
+    | Some m ->
+      let w = m.Monitor.window in
+      (Window.entries w, Some (Window.live_cells w), Window.alert_fired_total w)
   in
-  monitored_outcome ~updates:updates_stats
-    ?phases:(match setup with None -> None | Some _ -> Some phases)
-    result monitor
+  let phases = Option.map (fun t -> t.phase_recs) tel in
+  { result; windows; cells; alert_windows; updates; phases }
 
 let run (cfg : Config.t) workload =
+  let { Config.domains; seed; cost; obs; monitor } = cfg in
+  if domains < 1 then invalid_arg "Engine.run: domains must be >= 1";
+  (match monitor with
+  | Some m when m.Monitor.domains <> domains ->
+    invalid_arg
+      (Printf.sprintf "Engine.run: monitor was created for %d domains, run got %d"
+         m.Monitor.domains domains)
+  | _ -> ());
+  (match workload with
+  | Static { queries_per_domain; _ } ->
+    if queries_per_domain < 1 then
+      invalid_arg "Engine.run: queries_per_domain must be >= 1"
+  | Dynamic { publish_every; _ } -> (
+    if publish_every < 1 then invalid_arg "Engine.run: publish_every must be >= 1";
+    (* The spinlock cost model is a per-cell lock array sized at build
+       time — meaningless when the cell set changes per publication. *)
+    match cost with
+    | Free -> ()
+    | Spinlock _ ->
+      invalid_arg "Engine.run: the Spinlock cost model applies to static serving only"));
+  (* A monitor carries its own observability handle. *)
+  let obs = match monitor with Some m -> Some m.Monitor.obs | None -> obs in
+  let dynamic = match workload with Static _ -> false | Dynamic _ -> true in
+  let tel = Option.map (fun o -> instrument ?monitor o ~domains ~dynamic) obs in
   match workload with
   | Static { inst; qdist; queries_per_domain } ->
-    let result, phases =
-      serve_internal ~cost:cfg.Config.cost ?obs:cfg.Config.obs ?monitor:cfg.Config.monitor
-        ~domains:cfg.Config.domains ~queries_per_domain ~seed:cfg.Config.seed inst qdist
+    let (module D : Lc_dict.Dict_intf.S) = Instance.core inst in
+    let counters = Array.init D.space (fun _ -> Atomic.make 0) in
+    (match monitor with Some m -> m.Monitor.live_counts <- Some counters | None -> ());
+    let locks = make_locks ~cost ~space:D.space in
+    (* Pre-sample each domain's query batch outside the timed section so
+       throughput measures probing, not distribution sampling. *)
+    let batches =
+      main_span ?tel ?monitor "sample-batches" @@ fun () ->
+      Array.init domains (fun w ->
+          let rng = Rng.create (seed + (7919 * (w + 1))) in
+          Array.init queries_per_domain (fun _ -> Qdist.sample qdist rng))
     in
-    monitored_outcome ?phases result cfg.Config.monitor
-  | Dynamic { epoch; ops; publish_every } -> serve_dynamic cfg ~epoch ~ops ~publish_every
+    let worker w () =
+      let rng = Rng.create (seed lxor (104729 * (w + 1))) in
+      match tel with
+      | None ->
+        let probe = make_probe ~cost ~counters ~locks D.table in
+        Array.iter (fun x -> ignore (D.mem ~probe rng x : bool)) batches.(w)
+      | Some t ->
+        let sketch = Option.map (fun m -> m.Monitor.sketches.(w)) monitor in
+        let probe, probes =
+          make_obs_probe ?sketch ~cost ~counters ~locks D.table t.ids (fst t.workers.(w))
+        in
+        let src = { query = (fun x -> D.mem ~probe rng x); probes; pin_ns = (fun () -> 0) } in
+        ignore
+          (instrumented_loop t w ?publisher:(worker_publisher ?monitor t w) src batches.(w) : int)
+    in
+    let seconds = serve_domains ?monitor ?tel ~domains worker in
+    main_span ?tel ?monitor "merge" @@ fun () ->
+    let counts = Array.map Atomic.get counters in
+    assemble ?monitor ?tel ~name:D.name ~domains ~queries:(domains * queries_per_domain) ~seconds
+      ~total_probes:(Array.fold_left ( + ) 0 counts) ~max_probes:D.max_probes ~space:D.space counts
+  | Dynamic { epoch; ops; publish_every } ->
+    (* [domains] reader domains drain pre-split query batches through
+       epoch-pinned lock-free probes while one builder domain applies
+       the update subsequence in stream order, publishing a fresh
+       snapshot every [publish_every] updates and reclaiming retired
+       levels as readers leave.
+
+       Adaptive runs: wire the controller's act step to the epoch's
+       boost request channel before anything spawns. The monitor domain
+       decides (Monitor.tick -> Controller.observe -> request_boost, one
+       Atomic.set); the builder domain applies at its next publication. *)
+    let controller = Option.bind monitor (fun m -> m.Monitor.controller) in
+    (match controller with
+    | None -> ()
+    | Some ctl ->
+      Lc_control.Controller.set_actuator ctl (fun ~id ~boost ->
+          Epoch.request_boost epoch ~id ~boost);
+      Lc_control.Controller.set_applied_reader ctl (fun () -> Epoch.applied_boost epoch));
+    let updates, query_batches = Opstream.split ops ~domains in
+    let total_queries = Array.fold_left (fun acc b -> acc + Array.length b) 0 query_batches in
+    (* Readers are registered on the orchestrator so worker domains never
+       race the slot allocator; each gets a private rng. *)
+    let readers =
+      Array.init domains (fun w -> Epoch.reader epoch (Rng.create (seed lxor (104729 * (w + 1)))))
+    in
+    let hits = Array.make domains 0 in
+    (* Builder-side totals, written by the builder domain and read by the
+       orchestrator strictly after the join. [b_ns] is the builder's wall
+       time over the whole update stream — the denominator-free numerator
+       of ns/update, measured whether or not telemetry is attached. *)
+    let b_inserts = ref 0 and b_deletes = ref 0 in
+    let b_ns = ref 0 in
+    (* Run-scoped baselines: a preloaded epoch arrives with build work
+       already on its lifetime totals (Dynamic counters never reset),
+       while the engine_* metrics only ever see this run — subtracting
+       the baseline keeps [update_stats] reconciling exactly with the
+       counters and the windowed sums. *)
+    let cells0 = Lc_dynamic.Dynamic.cells_written (Epoch.inner epoch) in
+    let rebuilds0 = Lc_dynamic.Dynamic.rebuilds (Epoch.inner epoch) in
+    let rebuild_ns0 = Lc_dynamic.Dynamic.rebuild_ns (Epoch.inner epoch) in
+    let publish_ns0 = Epoch.publish_ns_total epoch in
+    (* The update loop: [publish] every [publish_every] updates and once
+       at stream end, so readers finish against the complete table. *)
+    let apply_updates publish =
+      let applied = ref 0 in
+      Array.iter
+        (fun op ->
+          (match op with
+          | Opstream.Insert x ->
+            Epoch.insert epoch x;
+            incr b_inserts
+          | Opstream.Delete x ->
+            Epoch.delete epoch x;
+            incr b_deletes
+          | Opstream.Query _ -> assert false (* split put queries elsewhere *));
+          incr applied;
+          if !applied mod publish_every = 0 then publish ())
+        updates;
+      publish ()
+    in
+    let builder readers_done =
+      let t_start = Lc_obs.Clock.now_ns () in
+      (match tel with
+      | Some { builder = Some b; gids; gcursors; _ } ->
+        instrumented_builder b ~gids ~gcur:gcursors.(domains)
+          ~adaptive:(Option.is_some controller) ~readers_done epoch ~inserts:b_inserts
+          ~deletes:b_deletes apply_updates
+      | _ ->
+        apply_updates (fun () ->
+            Epoch.publish epoch;
+            ignore (Epoch.try_reclaim epoch : int)));
+      b_ns := Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) t_start)
+    in
+    let worker w () =
+      let r = readers.(w) in
+      let batch = query_batches.(w) in
+      match tel with
+      | None ->
+        let h = ref 0 in
+        Array.iter (fun x -> if Epoch.mem epoch r x then incr h) batch;
+        hits.(w) <- !h
+      | Some t ->
+        (* The observe hook feeds every probed cell (snapshot-global id)
+           into the worker-private sketch, like the static obs probe. *)
+        Option.iter
+          (fun m ->
+            let sketch = m.Monitor.sketches.(w) in
+            Epoch.set_observe r (fun cell -> Heavy.observe sketch cell))
+          monitor;
+        let src =
+          {
+            query = Epoch.mem_phased epoch r;
+            probes = (fun () -> Epoch.reader_probes r);
+            pin_ns = (fun () -> Epoch.reader_pin_ns r);
+          }
+        in
+        hits.(w) <- instrumented_loop t w ?publisher:(worker_publisher ?monitor t w) src batch;
+        Epoch.clear_observe r
+    in
+    (* Every reader is quiescent after the join, so the orchestrator
+       takes over the builder role and reclaims the rest of the retired
+       list — before the final tick, so the last window and
+       /updates.json carry the settled gauges. *)
+    let settle () =
+      match tel with
+      | Some { builder = Some b; _ } ->
+        reclaim_reported b epoch ~epoch_no:(Epoch.epoch (Epoch.current epoch));
+        b.b_publish ()
+      | _ -> ignore (Epoch.try_reclaim epoch : int)
+    in
+    let seconds = serve_domains ?monitor ?tel ~builder ~settle ~domains worker in
+    main_span ?tel ?monitor "merge" @@ fun () ->
+    let snap = Epoch.current epoch in
+    let inner = Epoch.inner epoch in
+    let cells_written = Lc_dynamic.Dynamic.cells_written inner - cells0 in
+    let updates =
+      {
+        inserts = !b_inserts;
+        deletes = !b_deletes;
+        query_hits = Array.fold_left ( + ) 0 hits;
+        publications = Epoch.publications epoch;
+        reclaimed = Epoch.reclaimed epoch;
+        retired_pending = Epoch.retired_pending epoch;
+        keys_rebuilt = Lc_dynamic.Dynamic.keys_rebuilt inner;
+        purges = Lc_dynamic.Dynamic.purges inner;
+        final_live = Epoch.live snap;
+        final_epoch = Epoch.epoch snap;
+        cells_written;
+        rebuilds = Lc_dynamic.Dynamic.rebuilds inner - rebuilds0;
+        rebuild_ns = Lc_dynamic.Dynamic.rebuild_ns inner - rebuild_ns0;
+        publish_ns = Epoch.publish_ns_total epoch - publish_ns0;
+        write_amp =
+          (if !b_inserts > 0 then float_of_int cells_written /. float_of_int !b_inserts
+           else 0.0);
+        builder_ns = !b_ns;
+        reclaim_lag_max = Epoch.reclaim_lag_max epoch;
+      }
+    in
+    assemble ?monitor ?tel ~updates ~name:"lc-dyn" ~domains ~queries:total_queries ~seconds
+      ~total_probes:(Array.fold_left (fun acc r -> acc + Epoch.reader_probes r) 0 readers)
+      ~max_probes:(Epoch.max_probes snap) ~space:(Epoch.space snap) (Epoch.snapshot_counts snap)
 
 let hotspot_ratio r = float_of_int r.hottest_count /. r.flat_bound
 

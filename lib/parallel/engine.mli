@@ -74,9 +74,13 @@ type phase_stats = {
   ph_domain : int;  (** Worker index [0 .. domains-1]. *)
   mutable ph_probe_ns : int;
       (** Inside the dictionary's [mem] (cell reads, per-cell tallies,
-          spin waits); for dynamic runs, minus the pin phase below. *)
+          spin waits, sampled probe latency, sketch updates); for
+          dynamic runs, minus the pin phase below. *)
   mutable ph_tally_ns : int;
-      (** Per-query telemetry recording (latency observe, counters). *)
+      (** Per-query telemetry recording: the latency observe, the query
+          counter and the query's probe count, added to
+          [engine_probes_total] once per query from the probe tally's
+          delta (no per-probe counter work). *)
   mutable ph_publish_ns : int;
       (** Periodic seqlock window publishes + GC sampling + journal
           appends (the final batch-end publish is not charged). *)
@@ -412,9 +416,11 @@ val run : Config.t -> workload -> outcome
     read-only mode (telemetry-free when unobserved); [run config
     (Dynamic ...)] is the epoch-published read-write mode, with online
     re-replication when the config's monitor carries an attached
-    controller. Raises [Invalid_argument] on a monitor sized for a
-    different domain count, and for {!Dynamic} with a [Spinlock]
-    cost. *)
+    controller. Raises [Invalid_argument], with a message starting
+    ["Engine.run: "], when [domains], [queries_per_domain] or
+    [publish_every] is below 1, on a monitor sized for a different
+    domain count, and for {!Dynamic} with a [Spinlock] cost — before
+    the run touches its workload. *)
 
 val probe_sample_period : int
 (** The engine samples 1 probe in this many for

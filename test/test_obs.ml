@@ -1109,6 +1109,46 @@ let test_updates_json_route () =
       checkb "cumulative is null on a static run" true (get "cumulative" j = Json.Null);
       checki "no update windows on a static run" 0 (List.length (Json.to_list (get "windows" j))))
 
+(* A builder that drains its few updates long before the readers finish
+   publishes its last gauges while queries still pin the levels it
+   retired. The post-join reclaim frees them, and the final window must
+   carry that settled state: /updates.json agrees with update_stats
+   (nothing pending, no lag) instead of echoing the builder's last
+   pre-join reading. *)
+let test_updates_json_settles_after_join () =
+  let module Epoch = Lc_dynamic.Epoch in
+  let module Opstream = Lc_workload.Opstream in
+  let n = 1024 in
+  let rng = Rng.create 65 in
+  let keys = Keyset.random rng ~universe ~n in
+  let epoch = Epoch.create rng ~universe () in
+  Array.iter (Epoch.insert epoch) keys;
+  Epoch.publish epoch;
+  let snap0 = Epoch.current epoch in
+  let domains = 2 in
+  let ops =
+    Opstream.generate
+      ~mix:(Opstream.read_write_mix ~read_fraction:0.995)
+      ~initial_pool:keys rng ~universe ~length:40_000 ~working_set:(2 * n)
+  in
+  let mon =
+    Engine.Monitor.create_for ~domains ~space:(Epoch.space snap0)
+      ~max_probes:(Epoch.max_probes snap0) ()
+  in
+  let o =
+    Engine.run
+      (Engine.Config.make ~monitor:mon ~domains ~seed:66 ())
+      (Engine.Dynamic { epoch; ops; publish_every = 8 })
+  in
+  let u = Option.get o.Engine.updates in
+  let body = (List.assoc "/updates.json" (Engine.Monitor.routes mon) ()).Http.body in
+  let cum = Option.get (Json.member "cumulative" (Result.get_ok (Json.parse body))) in
+  let geti key = Option.get (Json.int_value (Option.get (Json.member key cum))) in
+  checki "update_stats: nothing pending after the join" 0 u.Engine.retired_pending;
+  checki "/updates.json retired_pending = update_stats" u.Engine.retired_pending
+    (geti "retired_pending");
+  checki "/updates.json reader_lag settled" 0 (geti "reader_lag")
+
 (* ------------------------------------------------------------------ *)
 (* Build-stage telemetry                                                *)
 (* ------------------------------------------------------------------ *)
@@ -1231,6 +1271,8 @@ let () =
           Alcotest.test_case "live scrape is monotone" `Quick
             test_windowed_live_scrape_monotone;
           Alcotest.test_case "updates.json both shapes" `Quick test_updates_json_route;
+          Alcotest.test_case "updates.json settles after the join" `Quick
+            test_updates_json_settles_after_join;
         ] );
       ( "engine",
         [

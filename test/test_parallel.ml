@@ -258,56 +258,119 @@ let test_top_cells () =
    discrete enough that a first-trial rejection happens for a few
    percent of seeds, so with max_trials:1 some seed below 300 surfaces
    the exception, which must carry the stage and the trial budget. *)
-(* Dynamic serving through the unified entry point: windowed telemetry,
-   the engine result and the epoch structure's own per-cell tallies
-   must all agree exactly — Σ window queries = result.queries, the
-   metrics counters match, and Epoch.total_probes equals the readers'
-   cumulative count. *)
+(* Dynamic serving through the unified entry point, in each telemetry
+   mode (none, obs only, monitor): the engine result, the epoch
+   structure's own per-cell tallies and the op stream must agree exactly
+   — result.queries = stream queries, Epoch.total_probes = the readers'
+   cumulative count, inserts/deletes = Opstream.counts, nothing left
+   pending after the join — plus, with obs, the engine_* counters and,
+   with a monitor, Σ window queries = result.queries. *)
 let test_dynamic_serving_reconciles () =
   let module Epoch = Lc_dynamic.Epoch in
   let module Opstream = Lc_workload.Opstream in
-  let rng = Rng.create 41 in
-  let keys = Keyset.random rng ~universe ~n in
+  let domains = 3 in
+  let serve_in mode =
+    let rng = Rng.create 41 in
+    let keys = Keyset.random rng ~universe ~n in
+    let epoch = Epoch.create rng ~universe () in
+    Array.iter (Epoch.insert epoch) keys;
+    Epoch.publish epoch;
+    let snap0 = Epoch.current epoch in
+    let ops =
+      Opstream.generate
+        ~mix:(Opstream.read_write_mix ~read_fraction:0.9)
+        ~initial_pool:keys rng ~universe ~length:(domains * 800) ~working_set:(2 * n)
+    in
+    let obs, monitor =
+      match mode with
+      | `Off -> (None, None)
+      | `Obs -> (Some (Lc_obs.Obs.create ()), None)
+      | `Monitor ->
+        let m =
+          Engine.Monitor.create_for ~interval_s:0.02 ~domains ~space:(Epoch.space snap0)
+            ~max_probes:(Epoch.max_probes snap0) ()
+        in
+        (Some (Engine.Monitor.obs m), Some m)
+    in
+    let cfg = Engine.Config.make ?obs ?monitor ~domains ~seed:42 () in
+    (epoch, ops, obs, Engine.run cfg (Engine.Dynamic { epoch; ops; publish_every = 64 }))
+  in
+  List.iter
+    (fun (label, mode) ->
+      let check what = checki (Printf.sprintf "%s: %s" label what) in
+      let epoch, ops, obs, o = serve_in mode in
+      let r = o.Engine.result in
+      let ins, del, qry = Opstream.counts ops in
+      check "result.queries = stream queries" qry r.Engine.queries;
+      check "epoch tallies = reader probes" r.Engine.total_probes (Epoch.total_probes epoch);
+      (match o.Engine.updates with
+      | None -> Alcotest.failf "%s: dynamic run must report update stats" label
+      | Some u ->
+        check "inserts applied" ins u.Engine.inserts;
+        check "deletes applied" del u.Engine.deletes;
+        check "nothing pending after the join" 0 u.Engine.retired_pending;
+        checkb (label ^ ": published beyond the preload snapshot") true
+          (u.Engine.publications >= 2);
+        check "final epoch counts every publication" u.Engine.publications
+          (Epoch.epoch (Epoch.current epoch)));
+      Option.iter
+        (fun obs ->
+          let snap = Lc_obs.Obs.snapshot obs in
+          let counter name =
+            match Lc_obs.Metrics.Snapshot.counter_value snap name with
+            | Some v -> v
+            | None -> Alcotest.failf "%s: counter %s missing" label name
+          in
+          check "engine_queries_total" r.Engine.queries (counter "engine_queries_total");
+          check "engine_probes_total" r.Engine.total_probes (counter "engine_probes_total");
+          check "builder insert counter" ins (counter "engine_inserts_total");
+          check "builder delete counter" del (counter "engine_deletes_total"))
+        obs;
+      if mode = `Monitor then
+        check "window queries sum to the result" r.Engine.queries
+          (List.fold_left (fun a (w : Lc_obs.Window.entry) -> a + w.queries) 0 o.Engine.windows))
+    [ ("no obs", `Off); ("obs only", `Obs); ("monitor", `Monitor) ]
+
+(* Every argument error names the entry point that exists, Engine.run,
+   and fires before the run touches its workload. *)
+let test_run_rejects_bad_arguments () =
+  let module Epoch = Lc_dynamic.Epoch in
+  let module Opstream = Lc_workload.Opstream in
+  let rng, keys, inst = lc_fixture 43 in
+  let qdist = Qdist.uniform ~name:"pos" keys in
   let epoch = Epoch.create rng ~universe () in
   Array.iter (Epoch.insert epoch) keys;
   Epoch.publish epoch;
   let snap0 = Epoch.current epoch in
-  let domains = 3 in
   let ops =
     Opstream.generate
       ~mix:(Opstream.read_write_mix ~read_fraction:0.9)
-      ~initial_pool:keys rng ~universe ~length:(domains * 800) ~working_set:(2 * n)
+      ~initial_pool:keys rng ~universe ~length:100 ~working_set:(2 * n)
   in
-  let mon =
-    Engine.Monitor.create_for ~interval_s:0.02 ~domains ~space:(Epoch.space snap0)
+  let static ?(queries_per_domain = 10) () = Engine.Static { inst; qdist; queries_per_domain } in
+  let dynamic ?(publish_every = 8) () = Engine.Dynamic { epoch; ops; publish_every } in
+  let monitor () =
+    Engine.Monitor.create_for ~domains:2 ~space:(Epoch.space snap0)
       ~max_probes:(Epoch.max_probes snap0) ()
   in
-  let cfg = Engine.Config.make ~monitor:mon ~domains ~seed:42 () in
-  let o = Engine.run cfg (Engine.Dynamic { epoch; ops; publish_every = 64 }) in
-  let r = o.Engine.result in
-  let ins, del, qry = Opstream.counts ops in
-  checki "result.queries = stream queries" qry r.Engine.queries;
-  checki "window queries sum to the result" r.Engine.queries
-    (List.fold_left (fun a (w : Lc_obs.Window.entry) -> a + w.queries) 0 o.Engine.windows);
-  let snap = Lc_obs.Obs.snapshot (Engine.Monitor.obs mon) in
-  let counter name =
-    match Lc_obs.Metrics.Snapshot.counter_value snap name with
-    | Some v -> v
-    | None -> Alcotest.failf "counter %s missing" name
+  let rejects what ?cost ?monitor ~domains work =
+    match Engine.run (Engine.Config.make ?cost ?monitor ~domains ~seed:44 ()) work with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument msg ->
+      checkb
+        (Printf.sprintf "%s: %S starts with Engine.run:" what msg)
+        true
+        (String.starts_with ~prefix:"Engine.run: " msg)
   in
-  checki "engine_queries_total" r.Engine.queries (counter "engine_queries_total");
-  checki "engine_probes_total" r.Engine.total_probes (counter "engine_probes_total");
-  checki "epoch tallies = reader probes" r.Engine.total_probes (Epoch.total_probes epoch);
-  match o.Engine.updates with
-  | None -> Alcotest.fail "dynamic run must report update stats"
-  | Some u ->
-    checki "inserts applied" ins u.Engine.inserts;
-    checki "deletes applied" del u.Engine.deletes;
-    checki "builder insert counter" ins (counter "engine_inserts_total");
-    checki "builder delete counter" del (counter "engine_deletes_total");
-    checkb "published beyond the preload snapshot" true (u.Engine.publications >= 2);
-    checki "final epoch counts every publication" u.Engine.publications
-      (Epoch.epoch (Epoch.current epoch))
+  rejects "static, domains = 0" ~domains:0 (static ());
+  rejects "dynamic, domains = 0" ~domains:0 (dynamic ());
+  rejects "static, monitor for another domain count" ~monitor:(monitor ()) ~domains:3 (static ());
+  rejects "dynamic, monitor for another domain count" ~monitor:(monitor ()) ~domains:3
+    (dynamic ());
+  rejects "queries_per_domain = 0" ~domains:1 (static ~queries_per_domain:0 ());
+  rejects "publish_every = 0" ~domains:1 (dynamic ~publish_every:0 ());
+  rejects "Spinlock with Dynamic" ~cost:(Engine.Spinlock { hold = 1 }) ~domains:1 (dynamic ());
+  checki "rejected runs publish nothing" 1 (Epoch.publications epoch)
 
 (* Phase accounting: instrumented runs must attribute every worker's
    batch wall exactly — probe + tally + publish + pin + other = wall by
@@ -450,5 +513,6 @@ let () =
           Alcotest.test_case "Build_failed diagnostics" `Quick test_build_failed_diagnostics;
           Alcotest.test_case "dynamic serving reconciles" `Quick
             test_dynamic_serving_reconciles;
+          Alcotest.test_case "run rejects bad arguments" `Quick test_run_rejects_bad_arguments;
         ] );
     ]
