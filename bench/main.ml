@@ -3,9 +3,9 @@
    Two halves:
 
    1. Bechamel micro-benchmarks — one Test.make per experiment family
-      (build cost for T3/T6, query latency for F6, hash-family and
-      histogram primitives for T4, the contention engine and the
-      recurrence solver for F1/F3).
+      (build cost for T3/T6, query latency for F6, hash-family
+      primitives for T4, the contention engine and the recurrence
+      solver for F1/F3).
 
    2. The full experiment suite — every table (T1-T8) and figure
       (F1-F6) of DESIGN.md §4, regenerated and printed, so that
@@ -42,13 +42,6 @@ let run_static ?cost ?obs ?monitor ~domains ~queries_per_domain ~seed inst qdist
     (Lc_parallel.Engine.Static { inst; qdist; queries_per_domain })
 
 let params = Lc_core.Dictionary.params lc
-
-let histogram_words =
-  let loads = Array.make params.g_per_group 0 in
-  loads.(0) <- 3;
-  loads.(1) <- 2;
-  loads.(2) <- 1;
-  Lc_core.Histogram.encode params ~loads
 
 let poly = Lc_hash.Poly_hash.create fixture_rng ~d:3 ~p:params.p ~m:params.s
 
@@ -102,11 +95,6 @@ let tests =
             (let rng = Rng.create 13 in
              let bucket = Array.sub keys 0 8 in
              Staged.stage (fun () -> ignore (Lc_hash.Perfect.find rng ~p:params.p ~keys:bucket)));
-        ];
-      Test.make_grouped ~name:"histogram"
-        [
-          Test.make ~name:"decode"
-            (Staged.stage (fun () -> ignore (Lc_core.Histogram.decode params histogram_words)));
         ];
       Test.make_grouped ~name:"parallel(T12)"
         [

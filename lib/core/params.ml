@@ -54,6 +54,11 @@ let make ?(d = 3) ?(delta = 0.5) ?(c = default_c) ?(alpha = 2.0) ?(beta = 2) ~un
   let cell_bits = max addr_bits key_bits in
   let hist_bits = cap_group + g_per_group in
   let rho = (hist_bits + cell_bits - 1) / cell_bits in
+  (* Histogram.locate packs a slot offset and length into 31 bits each.
+     A load is at most cap_group and the loads sum to less than
+     rho * cell_bits, so both stay below cap_group * rho * cell_bits. *)
+  if cap_group > (1 lsl 31) / (rho * cell_bits) then
+    invalid_arg "Params.make: group histogram too large to locate a slot in 31 bits";
   {
     universe;
     n;

@@ -55,7 +55,10 @@ val make :
     defaults ([d = 3], [delta = 0.5], [c = 2e], [alpha = 2], [beta = 2]).
     Raises [Invalid_argument] when a constraint is violated ([d <= 2],
     [delta] outside its interval, [beta < 2], [n < 1], universe too small
-    to hold [n] distinct keys, or a modulus overflow). *)
+    to hold [n] distinct keys, a modulus overflow, or a group so large
+    that [cap_group * rho * cell_bits] exceeds [2^31], the bound under
+    which {!Histogram.locate} packs a slot offset and length in one
+    int). *)
 
 val rows : t -> int
 (** Number of rows in the table layout, [2 d + rho + 4]: coefficient rows

@@ -28,14 +28,13 @@ let mem_probe (t : Structure.t) ~(probe : Lc_dict.Dict_intf.probe) rng x =
   let replica () = h'x + (p.m * Rng.int rng p.g_per_group) in
   let gbas = probe_rc ~row:(Layout.gbas_row p) (replica ()) in
   let words = Array.init p.rho (fun w -> probe_rc ~row:(Layout.hist_row p w) (replica ())) in
-  let loads = Histogram.decode p words in
-  let k = Layout.index_in_group p hx in
-  let off_rel, len = Histogram.slot_range p ~loads ~k in
+  let range = Histogram.locate p words ~k:(Layout.index_in_group p hx) in
+  let len = Histogram.slot_length range in
   (* Phase 3: empty bucket means a definite negative. *)
   if len = 0 then false
   else begin
     (* Phase 4: perfect hash within the bucket. *)
-    let start = gbas + off_rel in
+    let start = gbas + Histogram.slot_offset range in
     let kstar = probe_rc ~row:(Layout.phash_row p) (start + Rng.int rng len) in
     let slot = Modarith.mul p.p kstar x mod len in
     probe_rc ~row:(Layout.data_row p) (start + slot) = x

@@ -9,8 +9,10 @@
       uniformly random cell of its row, and one replica of [z_{g(x)}];
       compute [h(x)] and [h'(x) = h(x) mod m];
     + read [GBAS(h'(x))] and the [rho] histogram words of group [h'(x)],
-      each from a uniformly random replica; decode the group's loads and
-      locate bucket [h(x)]'s slot range;
+      each from a uniformly random replica; once all [rho] are read,
+      locate bucket [h(x)]'s slot range in one allocation-free pass over
+      them ({!Histogram.locate}), which also rejects a malformed
+      histogram;
     + if the range is empty, answer negative;
     + otherwise read the bucket's perfect-hash word from a uniformly
       random cell of the range, and compare the key at the hashed slot.

@@ -67,7 +67,11 @@ let test_params_validation () =
   checkb "beta 1" true (expect_invalid (fun () -> Params.make ~beta:1 ~universe ~n:100 ()));
   checkb "n 0" true (expect_invalid (fun () -> Params.make ~universe ~n:0 ()));
   checkb "universe < n" true (expect_invalid (fun () -> Params.make ~universe:10 ~n:100 ()));
-  checkb "c below e" true (expect_invalid (fun () -> Params.make ~c:2.0 ~universe ~n:100 ()))
+  checkb "c below e" true (expect_invalid (fun () -> Params.make ~c:2.0 ~universe ~n:100 ()));
+  (* One group of 10000 keys: cap_group * rho * cell_bits is about 4e9,
+     past the 31 bits Histogram.locate packs a slot offset into. *)
+  checkb "group too large to locate" true
+    (expect_invalid (fun () -> Params.make ~alpha:1e9 ~universe ~n:10_000 ()))
 
 let test_params_pp () =
   let p = Params.make ~universe ~n:256 () in
@@ -152,23 +156,70 @@ let test_histogram_overflow_rejected () =
   let raised = try ignore (Histogram.encode p ~loads); false with Invalid_argument _ -> true in
   checkb "rejects over-budget loads" true raised
 
+(* [Histogram.locate]'s result as an (offset, length) pair. *)
+let located p words ~k =
+  let slot = Histogram.locate p words ~k in
+  (Histogram.slot_offset slot, Histogram.slot_length slot)
+
 let test_histogram_slot_range () =
   let p = Params.make ~universe ~n:256 () in
   let loads = Array.make p.g_per_group 0 in
   loads.(0) <- 2;
   loads.(1) <- 3;
   loads.(2) <- 1;
-  let off, len = Histogram.slot_range p ~loads ~k:0 in
+  let words = Histogram.encode p ~loads in
+  let range k = located p words ~k in
+  let off, len = range 0 in
   checki "first offset" 0 off;
   checki "first length" 4 len;
-  let off, len = Histogram.slot_range p ~loads ~k:1 in
+  let off, len = range 1 in
   checki "second offset" 4 off;
   checki "second length" 9 len;
-  let off, len = Histogram.slot_range p ~loads ~k:2 in
+  let off, len = range 2 in
   checki "third offset" 13 off;
   checki "third length" 1 len;
-  let _, len = Histogram.slot_range p ~loads ~k:3 in
-  checki "empty bucket" 0 len
+  let _, len = range 3 in
+  checki "empty bucket" 0 len;
+  let rejects k = try ignore (Histogram.locate p words ~k); false with Invalid_argument _ -> true in
+  checkb "index below the group" true (rejects (-1));
+  checkb "index past the group" true (rejects p.g_per_group)
+
+let test_histogram_locate_byte_runs () =
+  (* Two buckets of cap 5 in one 21-bit word, so a run of 6 fits between
+     two zeros of one byte. As a bucket's load it is rejected; after the
+     last bucket's run, where decode never reads, it is not. *)
+  let p = Params.make ~c:5.0 ~alpha:1.0 ~universe ~n:3 () in
+  checki "cap" 5 p.cap_group;
+  checki "buckets" 2 p.g_per_group;
+  let over = Histogram.encode p ~loads:[| 0; 6 |] in
+  checkb "a load of 6 inside one byte is rejected" true
+    (try ignore (Histogram.locate p over ~k:0); false with Invalid_argument _ -> true);
+  let words = Histogram.encode p ~loads:[| 4; 3 |] in
+  (* The last bucket's zero is bit 8; bits 9-14 are ones, bit 15 zero. *)
+  words.(0) <- words.(0) lor (0x3F lsl 9);
+  Alcotest.check (Alcotest.array Alcotest.int) "decode" [| 4; 3 |] (Histogram.decode p words);
+  let check_range name expected k =
+    Alcotest.(check (pair int int)) name expected (located p words ~k)
+  in
+  check_range "first bucket" (0, 16) 0;
+  check_range "second bucket" (16, 9) 1
+
+let test_histogram_locate_allocates_nothing () =
+  (* Query.mem_probe calls locate once per query; the lint baseline
+     carries no allocation entry for it, so it must allocate nothing. *)
+  let p = Params.make ~universe:(1 lsl 24) ~n:4096 () in
+  let loads = Array.init p.g_per_group (fun k -> [| 0; 1; 2; 0; 3; 1 |].(k mod 6)) in
+  let words = Histogram.encode p ~loads in
+  let calls = 10_000 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    acc := !acc + Histogram.locate p words ~k:(i mod p.g_per_group)
+  done;
+  let after = Gc.minor_words () in
+  let idle = Gc.minor_words () -. after in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.check (Alcotest.float 0.0) "minor words over 10k calls" idle (after -. before)
 
 (* ------------------------------------------------------------------ *)
 (* Structure / builder                                                  *)
@@ -410,11 +461,15 @@ let test_histogram_crafted_overload_rejected () =
     Lc_prim.Bitpack.of_words ~word_bits:p.cell_bits ~bits:(p.rho * p.cell_bits) words
   in
   Lc_prim.Bitpack.set bp p.cap_group true;
-  let raised =
-    try ignore (Histogram.decode p (Lc_prim.Bitpack.words bp)); false
-    with Invalid_argument _ -> true
-  in
-  checkb "over-cap load rejected" true raised
+  let words = Lc_prim.Bitpack.words bp in
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  checkb "decode rejects the over-cap load" true (raises (fun () -> Histogram.decode p words));
+  for k = 0 to p.g_per_group - 1 do
+    checkb
+      (Printf.sprintf "locate ~k:%d rejects the over-cap load" k)
+      true
+      (raises (fun () -> Histogram.locate p words ~k))
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 3: the contention guarantee                                  *)
@@ -491,6 +546,124 @@ let prop_histogram_roundtrip =
       QCheck.assume (total <= p.cap_group);
       Histogram.decode p (Histogram.encode p ~loads) = loads)
 
+(* [locate] against the reference [decode], at four parameter sets: the
+   bench's n = 256 (17-bit cells, 1 slack bit), n = 4096 (25-bit cells,
+   no slack) and n = 131072 (29-bit cells, rho = 7, 26 slack bits), and
+   n = 3 with c = 5, alpha = 1 (21-bit cells), whose cap_group of 5 is
+   below the longest run a byte holds between two zeros. *)
+let locate_params =
+  let universe_for n = min (max (16 * n) (n * n)) (1 lsl 28) in
+  [
+    Params.make ~universe:(universe_for 256) ~n:256 ();
+    Params.make ~universe:(universe_for 4096) ~n:4096 ();
+    Params.make ~universe:(universe_for 131072) ~n:131072 ();
+    Params.make ~c:5.0 ~alpha:1.0 ~universe ~n:3 ();
+  ]
+
+(* Loads [encode] accepts: mostly small, sometimes up to the cap, clipped
+   to the histogram budget. With [~over], one bucket holds cap_group + 1,
+   which needs a slack bit in the budget. *)
+let gen_loads ?(over = false) (p : Params.t) =
+  let open QCheck.Gen in
+  let* loads =
+    array_repeat p.g_per_group (frequency [ (6, int_bound 3); (1, int_bound p.cap_group) ])
+  and* hot = int_bound (p.g_per_group - 1) in
+  let reserved = if over then p.cap_group + 1 else 0 in
+  let room = ref ((p.rho * p.cell_bits) - p.g_per_group - reserved) in
+  Array.iteri
+    (fun i l ->
+      if over && i = hot then loads.(i) <- reserved
+      else begin
+        let l = min l !room in
+        room := !room - l;
+        loads.(i) <- l
+      end)
+    loads;
+  return loads
+
+let gen_histogram ?over p = QCheck.Gen.map (fun loads -> Histogram.encode p ~loads) (gen_loads ?over p)
+
+(* [Some (off, len)] per bucket from [decode], or [None] if it rejects. *)
+let reference_ranges p words =
+  match Histogram.decode p words with
+  | exception Invalid_argument _ -> None
+  | loads ->
+      let off = ref 0 in
+      Some
+        (Array.map
+           (fun l ->
+             let r = (!off, l * l) in
+             off := !off + (l * l);
+             r)
+           loads)
+
+let locate_agrees (p : Params.t) words =
+  let attempt k = try Some (located p words ~k) with Invalid_argument _ -> None in
+  match reference_ranges p words with
+  | None -> List.for_all (fun k -> attempt k = None) (List.init p.g_per_group Fun.id)
+  | Some ranges -> Array.for_all Fun.id (Array.mapi (fun k r -> attempt k = Some r) ranges)
+
+let print_words words = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%x") words))
+
+let prop_locate_matches_decode (p : Params.t) =
+  QCheck.Test.make ~count:300
+    ~name:(Printf.sprintf "locate = decode prefix sums (n=%d)" p.n)
+    (QCheck.make ~print:print_words (gen_histogram p))
+    (fun words -> reference_ranges p words <> None && locate_agrees p words)
+
+(* Corruptions: random bit flips in the histogram, an all-ones word (an
+   unterminated run), a run one past the cap where the budget has a
+   slack bit for it, stray bits above [cell_bits], extra runs after the
+   last bucket (over the cap, too, which [decode] never reads), and a
+   wrong word count. *)
+let gen_corrupted (p : Params.t) =
+  let open QCheck.Gen in
+  let budget = p.rho * p.cell_bits in
+  let valid = gen_histogram p in
+  let flip =
+    let* words = valid and* flips = list_size (int_range 1 4) (int_bound (budget - 1)) in
+    List.iter
+      (fun b ->
+        let w = b / p.cell_bits in
+        words.(w) <- words.(w) lxor (1 lsl (b mod p.cell_bits)))
+      flips;
+    return words
+  in
+  let ones =
+    let* words = valid and* w = int_bound (p.rho - 1) and* full = bool in
+    words.(w) <- (if full then -1 else (1 lsl p.cell_bits) - 1);
+    return words
+  in
+  let over_cap =
+    if budget - p.g_per_group > p.cap_group then gen_histogram ~over:true p
+    else flip
+  in
+  let stray =
+    let* words = valid and* w = int_bound (p.rho - 1) and* junk = int_range 1 max_int in
+    words.(w) <- words.(w) lor (junk lsl p.cell_bits);
+    return words
+  in
+  let tail =
+    let* loads = gen_loads p and* extra = list_size (int_range 1 4) (int_bound (p.cap_group + 3)) in
+    let bp = Lc_prim.Bitpack.of_words ~word_bits:p.cell_bits ~bits:budget (Histogram.encode p ~loads) in
+    let pos = ref (Array.fold_left ( + ) 0 loads + p.g_per_group) in
+    List.iter
+      (fun l -> if !pos + l < budget then pos := Lc_prim.Bitpack.append_unary bp ~pos:!pos l)
+      extra;
+    return (Lc_prim.Bitpack.words bp)
+  in
+  let resized =
+    let* words = valid and* grow = bool in
+    return (if grow then Array.append words [| 0 |] else Array.sub words 0 (p.rho - 1))
+  in
+  frequency [ (4, flip); (2, ones); (2, over_cap); (2, stray); (2, tail); (1, resized) ]
+
+let prop_locate_rejects_like_decode (p : Params.t) =
+  QCheck.Test.make ~count:300
+    ~name:(Printf.sprintf "locate rejects as decode does (n=%d)" p.n)
+    (QCheck.make ~print:print_words (gen_corrupted p))
+    (locate_agrees p)
+
 let prop_verify_after_build =
   QCheck.Test.make ~name:"verify holds for every build" ~count:15
     QCheck.(int_range 1 200)
@@ -544,6 +717,10 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_histogram_roundtrip;
           Alcotest.test_case "overflow rejected" `Quick test_histogram_overflow_rejected;
           Alcotest.test_case "slot ranges" `Quick test_histogram_slot_range;
+          Alcotest.test_case "locate checks runs inside a byte" `Quick
+            test_histogram_locate_byte_runs;
+          Alcotest.test_case "locate allocates nothing" `Quick
+            test_histogram_locate_allocates_nothing;
         ] );
       ( "builder",
         [
@@ -594,4 +771,8 @@ let () =
           prop_verify_after_build;
           prop_keyset_shapes_work;
         ];
+      qsuite "locate"
+        (List.concat_map
+           (fun p -> [ prop_locate_matches_decode p; prop_locate_rejects_like_decode p ])
+           locate_params);
     ]
