@@ -4,10 +4,12 @@
 
    The engine in [Lc_parallel.Engine] runs the *actual query algorithm*
    — the same [Dict_intf.S] core the sequential experiments use — from
-   m domains at once, counting every probe with a per-cell
-   fetch-and-add. A second pass turns on the per-cell spinlock cost
-   model, so probes that land on the same cell genuinely serialise the
-   way a contended cache line does: now the hot-spot column is paid for
+   m domains at once, each counting its probes in its own per-cell
+   tally (summed after the join). Concurrent reads of one cell share
+   its cache line without writing it, so a second pass turns on the
+   shared per-cell spinlock cost model: probes that land on the same
+   cell genuinely serialise the way writes to a contended cache line
+   do, and now the hot-spot column is paid for
    in wall-clock time, and the low-contention dictionary's extra probes
    per query stop mattering because none of them queue. *)
 

@@ -1,10 +1,11 @@
 (* Cache-line co-heat: how much of the probe traffic lands on cells that
-   share a cache line with *other* hot cells. Per-cell tallies are boxed
-   [Atomic.t] words, so [line_cells] consecutive cell counters share a
-   64-byte line (8 words by default); when two domains hammer distinct
-   cells of the same line every increment ping-pongs the line between
-   cores even though the cells never logically conflict — classic false
-   sharing, invisible in the per-cell histogram.
+   share a cache line with *other* hot cells. A table's cells are
+   one-word [int array] slots, so [line_cells] consecutive cells share a
+   64-byte line (8 words by default). Reads of such a line from many
+   domains are shared; per-cell writes from two domains to distinct
+   cells of one line would ping-pong it between cores even though the
+   cells never logically conflict — classic false sharing, invisible in
+   the per-cell histogram.
 
    The metric: for a cell c with tally k_c on a line with total heat
    H(c), the probability that a uniformly chosen *other* probe of the

@@ -2,11 +2,11 @@
 
     Buckets a per-cell count array into cache-line-sized groups
     ([line_cells] consecutive cells, default 8 — one 64-byte line of
-    boxed [Atomic.t] words) and reports how much probe traffic shares a
-    line with other hot cells. High co-heat means per-cell counters
-    that never logically conflict still fight for the same cache line —
-    the false-sharing suspect ROADMAP names for the engine's negative
-    scaling. *)
+    one-word cells, as a table's [int array] packs them) and reports
+    how much probe traffic shares a line with other hot cells. High
+    co-heat means cells that never logically conflict are still served
+    from the same cache line: harmless for reads, false sharing for
+    anything that writes per cell. *)
 
 type t = {
   line_cells : int;  (** cells per cache-line bucket *)
@@ -22,7 +22,7 @@ type t = {
 }
 
 val default_line_cells : int
-(** 8 — one 64-byte cache line of boxed words. *)
+(** 8 — one 64-byte cache line of one-word cells. *)
 
 val of_counts : ?line_cells:int -> int array -> t
 (** [of_counts counts] aggregates a per-cell tally array (as returned by

@@ -1,6 +1,16 @@
 module Rng = Lc_prim.Rng
 
-type t = { name : string; support : (int * float) array; cdf : float array }
+(* [keys.(i)] is [fst support.(i)], kept flat so a draw reads no tuple.
+   [guide] has [Array.length guide - 1 = K] buckets, [K] a power of two
+   no larger than the support; [guide.(k)] is the first index whose cdf
+   is >= [k / K]. *)
+type t = {
+  name : string;
+  support : (int * float) array;
+  cdf : float array;
+  keys : int array;
+  guide : int array;
+}
 
 let name t = t.name
 let support t = Array.copy t.support
@@ -27,17 +37,39 @@ let make name pairs =
       cdf.(i) <- !acc)
     support;
   cdf.(Array.length cdf - 1) <- 1.0;
-  { name; support; cdf }
+  let n = Array.length cdf in
+  let buckets = ref 1 in
+  while 2 * !buckets <= n do
+    buckets := 2 * !buckets
+  done;
+  let buckets = !buckets in
+  (* The thresholds k / K are exact, and [cdf.(i) >= c] is monotone in
+     [i] for every c <= 1: the forced final 1.0 may sit below an entry
+     that rounding pushed past 1, but both pass. One forward scan finds
+     every first index. *)
+  let guide = Array.make (buckets + 1) 0 in
+  let i = ref 0 in
+  for k = 0 to buckets do
+    let c = float_of_int k /. float_of_int buckets in
+    while cdf.(!i) < c do
+      incr i
+    done;
+    guide.(k) <- !i
+  done;
+  { name; support; cdf; keys = Array.map fst support; guide }
 
 let sample t rng =
   let u = Rng.float rng in
-  (* Binary search for the first cdf entry >= u. *)
-  let lo = ref 0 and hi = ref (Array.length t.cdf - 1) in
+  (* The first cdf entry >= u lies between the guides of u's bucket:
+     [k / K <= u < (k + 1) / K], and [u *. K] is exact, so this is the
+     index a binary search over the whole cdf finds. *)
+  let k = int_of_float (u *. float_of_int (Array.length t.guide - 1)) in
+  let lo = ref t.guide.(k) and hi = ref t.guide.(k + 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if t.cdf.(mid) >= u then hi := mid else lo := mid + 1
   done;
-  fst t.support.(!lo)
+  t.keys.(!lo)
 
 let uniform ~name queries =
   make name (Array.map (fun x -> (x, 1.0)) queries)

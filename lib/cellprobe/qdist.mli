@@ -3,7 +3,7 @@
     The distribution [q] over queries of Section 1.1. A distribution here
     is an explicit finite probability mass function over keys, which
     keeps exact contention computation possible; samplers use a
-    precomputed CDF with binary search.
+    precomputed CDF with a guide table over it.
 
     The paper's "especially interesting class" — uniform over positive
     queries and uniform over negative queries — is {!pos_neg}. Uniform
@@ -21,7 +21,12 @@ val support : t -> (int * float) array
     sum to 1 (within floating-point tolerance). *)
 
 val sample : t -> Lc_prim.Rng.t -> int
-(** Draw a query. *)
+(** Draw a query: one [Rng.float] [u], mapped to the first support entry
+    whose cumulative mass is [>= u]. A guide table of [K] buckets ([K] a
+    power of two no larger than the support) narrows the search to
+    [u]'s bucket, so a draw costs O(1) expected steps on a uniform pmf.
+    The result is the one a binary search over the whole CDF gives, for
+    every [u]. *)
 
 val uniform : name:string -> int array -> t
 (** Uniform over a non-empty array of queries (duplicates merge mass). *)

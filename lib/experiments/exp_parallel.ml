@@ -1,5 +1,5 @@
-(* T12: the multicore serving engine — real domains, per-cell atomic
-   probe counters — turns the contention bound of Theorem 3 into a
+(* T12: the multicore serving engine — real domains, per-domain per-cell
+   probe tallies — turns the contention bound of Theorem 3 into a
    measured quantity. The quantity to watch is "x flat": the hottest
    cell's tally divided by the flat bound q*t/s. For the low-contention
    dictionary it is O(1); for any structure that routes every query
@@ -14,14 +14,14 @@ module Engine = Lc_parallel.Engine
 let t12 =
   {
     Experiment.id = "T12";
-    title = "Multicore serving: throughput and per-cell atomic probe counts";
+    title = "Multicore serving: throughput and per-cell probe counts";
     claim =
       "Theorem 3, measured instead of counted: with m domains serving queries against one \
-       shared table, the low-contention dictionary's hottest per-cell atomic tally stays \
-       within a constant factor of the flat bound q*t/s (contention O(1/n)), while FKS's \
+       shared table, the low-contention dictionary's hottest per-cell tally stays within a \
+       constant factor of the flat bound q*t/s (contention O(1/n)), while FKS's \
        unreplicated top-level parameter cell and binary search's root absorb a constant \
-       fraction of all probes — Theta(s) over the flat bound — and serialise every domain \
-       behind one cache line.";
+       fraction of all probes — Theta(s) over the flat bound — and, under the spinlock cost \
+       model, serialise every domain behind one lock.";
     run =
       (fun ~seed ->
         let n = 512 in
@@ -51,8 +51,7 @@ let t12 =
           Tablefmt.create
             ~title:
               (Printf.sprintf
-                 "T12: m domains x %d queries each, per-cell fetch-and-add counters (n = %d)" qpd
-                 n)
+                 "T12: m domains x %d queries each, per-domain per-cell tallies (n = %d)" qpd n)
             ~columns:
               [
                 "structure"; "dist"; "m"; "queries"; "kq/s"; "hottest"; "flat q*t/s"; "x flat";

@@ -35,18 +35,22 @@ let make_locks ~cost ~space =
     if hold < 0 then invalid_arg "Engine: Spinlock hold must be >= 0";
     Array.init space (fun _ -> Atomic.make false)
 
-(* The probing discipline shared by every worker: count each visit on a
-   per-cell atomic, optionally serialising visits to the same cell
-   through a per-cell test-and-set spinlock. Cell contents are only ever
+(* The probing discipline shared by every worker: count each visit in
+   the worker's own [tally] (a plain store into an array no other domain
+   writes), optionally serialising visits to the same cell through a
+   shared per-cell test-and-set spinlock. Cell contents are only ever
    read ([Table.peek]); the table's own mutable counters are untouched,
-   which is what makes the query path reentrant. This is the
-   telemetry-free discipline, used by every static run that has neither
-   [obs] nor a monitor. *)
-let make_probe ~cost ~counters ~locks table : Lc_dict.Dict_intf.probe =
+   which is what makes the query path reentrant. A read-only table
+   causes no coherence traffic, so under [Free] the only lines the
+   workers share are the cells they read; the locks are the one shared
+   write, and they are the contention model. This is the telemetry-free
+   discipline, used by every static run that has neither [obs] nor a
+   monitor. *)
+let make_probe ~cost ~tally ~locks table : Lc_dict.Dict_intf.probe =
   match cost with
   | Free ->
     fun ~step:_ j ->
-      Atomic.incr counters.(j);
+      tally.(j) <- tally.(j) + 1;
       Table.peek table j
   | Spinlock { hold } ->
     fun ~step:_ j ->
@@ -59,7 +63,7 @@ let make_probe ~cost ~counters ~locks table : Lc_dict.Dict_intf.probe =
         Domain.cpu_relax ()
       done;
       Atomic.set l false;
-      Atomic.incr counters.(j);
+      tally.(j) <- tally.(j) + 1;
       v
 
 (* Sampled per-probe latency: timing every probe with two gettimeofday
@@ -110,8 +114,9 @@ let register_metrics (o : Lc_obs.Obs.t) =
    worker-private Space-Saving sketch behind the live hot-cell view.
    Returns the probe and a reader of its tick count (one tick per
    probe), from which the instrumented loop adds each query's probes to
-   [engine_probes_total]. *)
-let make_obs_probe ?sketch ~cost ~counters ~locks table (ids : metric_ids) shard =
+   [engine_probes_total]. The per-cell [tally] is the worker's own, as
+   in [make_probe]. *)
+let make_obs_probe ?sketch ~cost ~tally ~locks table (ids : metric_ids) shard =
   let record_cell =
     match sketch with None -> fun _ -> () | Some s -> fun j -> Heavy.observe s j
   in
@@ -133,7 +138,7 @@ let make_obs_probe ?sketch ~cost ~counters ~locks table (ids : metric_ids) shard
     | Free ->
       fun ~step:_ j ->
         record_cell j;
-        Atomic.incr counters.(j);
+        tally.(j) <- tally.(j) + 1;
         sampled_peek j
     | Spinlock { hold } ->
       fun ~step:_ j ->
@@ -155,7 +160,7 @@ let make_obs_probe ?sketch ~cost ~counters ~locks table (ids : metric_ids) shard
           Domain.cpu_relax ()
         done;
         Atomic.set l false;
-        Atomic.incr counters.(j);
+        tally.(j) <- tally.(j) + 1;
         v
   in
   (probe, fun () -> !probe_tick)
@@ -393,7 +398,8 @@ let register_update_metrics (o : Lc_obs.Obs.t) =
   }
 
 (* Shared by [count_histogram] (exact, post-run) and the live
-   /cells.json route (exact mid-run, from the per-cell atomics). *)
+   /cells.json route (mid-run, from the sum of the workers' tallies;
+   exact once they have joined). *)
 let histogram_of_counts counts =
   let max_count = Array.fold_left max 0 counts in
   let bucket_of c =
@@ -435,7 +441,8 @@ module Monitor = struct
     (* Alert edge detector for the journal / on_alert hook; owned by the
        monitor domain (ticks are serialised). *)
     mutable alert_was_firing : bool;
-    mutable live_counts : int Atomic.t array option;
+    (* The static run's per-worker tallies, summed when scraped. *)
+    mutable live_counts : int array array option;
     (* The replication controller, when this run is adaptive: attached
        before serving starts, driven by [tick] (the monitor domain is
        the controller domain), scraped by /control.json. *)
@@ -641,10 +648,18 @@ module Monitor = struct
           ("hottest_line_share", J.Float ch.Coheat.hottest_line_share);
         ]
 
+  (* Racy reads of the workers' plain ints: no value tears, but a scrape
+     may miss stores still in flight. Once the workers have joined and
+     [merge_tallies] has run, the sum equals the result's counts. *)
   let live_count_values t =
     match t.live_counts with
     | None -> None
-    | Some counters -> Some (Array.map Atomic.get counters)
+    | Some tallies ->
+      let sum = Array.copy tallies.(0) in
+      for w = 1 to Array.length tallies - 1 do
+        Array.iteri (fun j c -> sum.(j) <- sum.(j) + c) tallies.(w)
+      done;
+      Some sum
 
   let cells_body t =
     let cells = Window.live_cells t.window in
@@ -1349,6 +1364,25 @@ let serve_domains ?monitor ?tel ?builder ?(settle = ignore) ~domains worker =
     ignore (Monitor.tick (Option.get monitor) : Window.entry));
   seconds
 
+(* Sum a static run's per-worker tallies into [tallies.(0)], which
+   becomes the result's counts, without allocating another array. Each
+   source cell is zeroed as its count moves, so once the merge returns
+   the monitor's live sum over all the tallies equals [tallies.(0)];
+   without the zeroing it would count workers 1.. twice. *)
+let merge_tallies tallies =
+  let into = tallies.(0) in
+  for w = 1 to Array.length tallies - 1 do
+    let t = tallies.(w) in
+    for j = 0 to Array.length t - 1 do
+      let c = t.(j) in
+      if c <> 0 then begin
+        t.(j) <- 0;
+        into.(j) <- into.(j) + c
+      end
+    done
+  done;
+  into
+
 (* The result and outcome of a run. [counts], [max_probes] and [space]
    describe the structure the run ended on (a dynamic run's final
    snapshot, which may have no cells). *)
@@ -1414,8 +1448,11 @@ let run (cfg : Config.t) workload =
   match workload with
   | Static { inst; qdist; queries_per_domain } ->
     let (module D : Lc_dict.Dict_intf.S) = Instance.core inst in
-    let counters = Array.init D.space (fun _ -> Atomic.make 0) in
-    (match monitor with Some m -> m.Monitor.live_counts <- Some counters | None -> ());
+    (* One flat tally per worker, allocated before the spawn: a worker
+       counts with plain stores into its own array and allocates
+       nothing to do so. *)
+    let tallies = Array.init domains (fun _ -> Array.make D.space 0) in
+    (match monitor with Some m -> m.Monitor.live_counts <- Some tallies | None -> ());
     let locks = make_locks ~cost ~space:D.space in
     (* Pre-sample each domain's query batch outside the timed section so
        throughput measures probing, not distribution sampling. *)
@@ -1427,14 +1464,15 @@ let run (cfg : Config.t) workload =
     in
     let worker w () =
       let rng = Rng.create (seed lxor (104729 * (w + 1))) in
+      let tally = tallies.(w) in
       match tel with
       | None ->
-        let probe = make_probe ~cost ~counters ~locks D.table in
+        let probe = make_probe ~cost ~tally ~locks D.table in
         Array.iter (fun x -> ignore (D.mem ~probe rng x : bool)) batches.(w)
       | Some t ->
         let sketch = Option.map (fun m -> m.Monitor.sketches.(w)) monitor in
         let probe, probes =
-          make_obs_probe ?sketch ~cost ~counters ~locks D.table t.ids (fst t.workers.(w))
+          make_obs_probe ?sketch ~cost ~tally ~locks D.table t.ids (fst t.workers.(w))
         in
         let src = { query = (fun x -> D.mem ~probe rng x); probes; pin_ns = (fun () -> 0) } in
         ignore
@@ -1442,7 +1480,7 @@ let run (cfg : Config.t) workload =
     in
     let seconds = serve_domains ?monitor ?tel ~domains worker in
     main_span ?tel ?monitor "merge" @@ fun () ->
-    let counts = Array.map Atomic.get counters in
+    let counts = merge_tallies tallies in
     assemble ?monitor ?tel ~name:D.name ~domains ~queries:(domains * queries_per_domain) ~seconds
       ~total_probes:(Array.fold_left ( + ) 0 counts) ~max_probes:D.max_probes ~space:D.space counts
   | Dynamic { epoch; ops; publish_every } ->

@@ -5,14 +5,15 @@
     {!Lc_cellprobe.Concurrency}) {e counts} or {e simulates} the probes
     that concurrent queries would aim at each cell. This engine runs
     them: [m] OCaml 5 domains issue membership queries against one
-    shared table through the reentrant {!Lc_dict.Dict_intf.S} core,
-    every probe does a fetch-and-add on a per-cell [Atomic.t] counter,
-    and an optional per-cell spinlock makes same-cell visits genuinely
-    serialise — the cost model a shared-memory multiprocessor imposes on
-    a contended line. What comes out is wall-clock throughput plus the
-    exact per-cell probe tally, so "contention [Theta(sqrt n)] vs
-    [O(1/n)]" (paper Section 1.3) becomes a measured gap rather than a
-    counted one.
+    shared table through the reentrant {!Lc_dict.Dict_intf.S} core.
+    Every probe adds one to the probing domain's own flat per-cell
+    tally, a plain store no other domain writes; the tallies are summed
+    after the join. An optional per-cell spinlock, shared by all
+    domains, makes same-cell visits genuinely serialise — the cost model
+    a shared-memory multiprocessor imposes on a contended line. What
+    comes out is wall-clock throughput plus the exact per-cell probe
+    tally, so "contention [Theta(sqrt n)] vs [O(1/n)]" (paper Section
+    1.3) becomes a measured gap rather than a counted one.
 
     All randomness is per-domain ([Rng.t] is not shared), table cells
     are written only at construction time, and the probing mode never
@@ -22,8 +23,11 @@
 
 type cost =
   | Free
-      (** Probes cost one fetch-and-add; contention shows up only
-          through cache-line traffic on the counters themselves. *)
+      (** Probes are plain reads of the shared table plus a store into
+          the domain's private tally. A read-only table causes no
+          coherence traffic, so what concurrent probes of one cell cost
+          here is read sharing alone: the paper's contention, as
+          cache-coherent hardware prices it. *)
   | Spinlock of { hold : int }
       (** Each probe acquires a per-cell test-and-set spinlock and holds
           it for [hold] extra [Domain.cpu_relax] iterations: concurrent
@@ -39,7 +43,9 @@ type result = {
   seconds : float;  (** Wall-clock for the serving phase only. *)
   throughput : float;  (** Queries per second. *)
   total_probes : int;  (** Sum of all per-cell counters. *)
-  counts : int array;  (** Per-cell atomic probe tallies, length [space]. *)
+  counts : int array;
+      (** Per-cell probe tallies, length [space]: the sum of the
+          domains' private tallies, exact for a seed. *)
   hottest_cell : int;  (** Index of the most-probed cell. *)
   hottest_count : int;  (** Its tally — the observed hot spot. *)
   hottest_share : float;  (** [hottest_count / total_probes]. *)
@@ -65,10 +71,11 @@ type result = {
     worker's own batch wall (spawn/join skew), filled in post-join.
     Totals are also flushed once per worker into the
     [engine_phase_*_ns_total] counters, so [/metrics] and
-    [/scaling.json] carry the same numbers. Tally increments on
-    per-cell atomics happen {e inside} the dictionary's [mem], so they
-    are attributed to probe work — the probe phase is "time the hot
-    path spent where contention lives". *)
+    [/scaling.json] carry the same numbers. The per-cell tally
+    increments (plain stores into the domain's own array) happen {e
+    inside} the dictionary's [mem], so they are attributed to probe
+    work — the probe phase is "time the hot path spent where contention
+    lives". *)
 
 type phase_stats = {
   ph_domain : int;  (** Worker index [0 .. domains-1]. *)
@@ -268,8 +275,10 @@ module Monitor : sig
       - [/snapshot.json] — the merged snapshot as JSON
         ({!Lc_obs.Export.json_snapshot});
       - [/cells.json] — merged top-k sketch entries with error bounds,
-        plus an exact log-bucketed per-cell count histogram read from
-        the engine's live atomics;
+        plus a log-bucketed per-cell count histogram summed from the
+        workers' live tallies when scraped (racy reads that may lag
+        stores in flight; exactly the result's counts once the workers
+        have joined);
       - [/windows.json] — the window ring and alert state;
       - [/updates.json] — the update-path view, schema-versioned
         (["lowcon-updates"] v1): cumulative builder counters (null when

@@ -482,6 +482,56 @@ let prop_mc_exact_agree =
       done;
       !ok)
 
+(* The sampler without a guide table: one binary search over the whole
+   CDF, rebuilt from [support] the way [Qdist.make] builds it. *)
+let reference_sampler d =
+  let support = Qdist.support d in
+  let cdf = Array.make (Array.length support) 0.0 in
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun i (_, p) ->
+      acc := !acc +. p;
+      cdf.(i) <- !acc)
+    support;
+  cdf.(Array.length cdf - 1) <- 1.0;
+  fun rng ->
+    let u = Rng.float rng in
+    let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cdf.(mid) >= u then hi := mid else lo := mid + 1
+    done;
+    fst support.(!lo)
+
+(* A distribution drawn from [seed]: random positive weights; weights
+   spread from 1e-300 to 1, which leave long flat runs in the CDF; a
+   single point; or Zipf at a random skew. *)
+let qdist_of_case (family, seed) =
+  let rng = Rng.create seed in
+  let size = 1 + Rng.int rng 3000 in
+  let keys = Array.init size (fun i -> (7 * i) + Rng.int rng 7) in
+  match family with
+  | 0 -> Qdist.weighted ~name:"w" (Array.map (fun x -> (x, 1e-9 +. Rng.float rng)) keys)
+  | 1 ->
+    Qdist.weighted ~name:"tiny"
+      (Array.map (fun x -> (x, Float.pow 10.0 (-.float_of_int (Rng.int rng 301)))) keys)
+  | 2 -> Qdist.point keys.(0)
+  | _ -> Qdist.zipf ~skew:(3.0 *. Rng.float rng) keys
+
+let prop_sample_matches_binary_search =
+  QCheck.Test.make ~name:"Qdist.sample = full binary search, draw for draw" ~count:200
+    QCheck.(pair (int_range 0 3) (int_bound 1_000_000))
+    (fun case ->
+      let d = qdist_of_case case in
+      let reference = reference_sampler d in
+      let rng = Rng.create (snd case) in
+      let ref_rng = Rng.copy rng in
+      let ok = ref true in
+      for _ = 1 to 2000 do
+        if Qdist.sample d rng <> reference ref_rng then ok := false
+      done;
+      !ok)
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -549,5 +599,6 @@ let () =
           Alcotest.test_case "csv print/parse fixpoint" `Quick
             test_trace_csv_print_parse_fixpoint;
         ] );
-      qsuite "properties" [ prop_exact_total_mass; prop_mc_exact_agree ];
+      qsuite "properties"
+        [ prop_exact_total_mass; prop_mc_exact_agree; prop_sample_matches_binary_search ];
     ]

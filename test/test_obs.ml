@@ -955,6 +955,39 @@ let test_windowed_quiet_on_low_contention () =
   in
   checki "reconciliation holds here too" r.Engine.queries sum_q
 
+(* The live per-cell view sums the workers' private tallies: once a
+   2-domain run has joined, /cells.json and /scaling.json must report
+   exactly the result's counts. A merge that left a worker's tally in
+   place, or counted it twice, breaks both totals. *)
+let test_cells_json_matches_result_after_join () =
+  let keys, inst = lc_fixture 43 in
+  let qd = Qdist.uniform ~name:"pos" keys in
+  let mon = Engine.Monitor.create ~interval_s:0.02 ~domains:2 inst in
+  let r =
+    (run_monitored ~monitor:mon ~domains:2 ~queries_per_domain:2_000 ~seed:11 inst qd)
+      .Engine.result
+  in
+  let scrape route =
+    Result.get_ok (Json.parse (List.assoc route (Engine.Monitor.routes mon) ()).Http.body)
+  in
+  let field key doc = Option.get (Json.member key doc) in
+  let int_at keys doc = Option.get (Json.int_value (List.fold_left (Fun.flip field) doc keys)) in
+  let cells = scrape "/cells.json" in
+  checki "/cells.json coheat total = result total" r.Engine.total_probes
+    (int_at [ "coheat"; "total_probes" ] cells);
+  checki "/scaling.json coheat total = result total" r.Engine.total_probes
+    (int_at [ "coheat"; "total_probes" ] (scrape "/scaling.json"));
+  let histogram =
+    List.map
+      (fun pair ->
+        match List.map (fun v -> Option.get (Json.int_value v)) (Json.to_list pair) with
+        | [ upper; cells ] -> (upper, cells)
+        | _ -> Alcotest.fail "count_histogram entries are [upper, cells] pairs")
+      (Json.to_list (field "count_histogram" cells))
+  in
+  Alcotest.(check (list (pair int int)))
+    "/cells.json count_histogram = Engine.count_histogram" (Engine.count_histogram r) histogram
+
 (* The /metrics scrape during a run: valid exposition text, counters
    monotone across scrapes, per-window gauges present. A scraper domain
    hits the live endpoint while the workers serve. *)
@@ -1270,6 +1303,8 @@ let () =
             test_windowed_quiet_on_low_contention;
           Alcotest.test_case "live scrape is monotone" `Quick
             test_windowed_live_scrape_monotone;
+          Alcotest.test_case "cells.json = result after the join" `Quick
+            test_cells_json_matches_result_after_join;
           Alcotest.test_case "updates.json both shapes" `Quick test_updates_json_route;
           Alcotest.test_case "updates.json settles after the join" `Quick
             test_updates_json_settles_after_join;

@@ -182,7 +182,8 @@ let test_hotspot_separation () =
     r.Engine.hottest_count
 
 (* The spinlock cost model must not change answers or tallies, only
-   timing. *)
+   timing: each worker's probe sequence depends on its own rng alone, so
+   the per-cell counts agree cell for cell. *)
 let test_spinlock_same_tallies () =
   let rng = Rng.create 14 in
   let keys = Keyset.random rng ~universe ~n in
@@ -193,7 +194,34 @@ let test_spinlock_same_tallies () =
     serve ~cost:(Engine.Spinlock { hold = 4 }) ~domains:2 ~queries_per_domain:400 ~seed:15
       lc qd
   in
-  checki "same total probes under spinlock" free.Engine.total_probes locked.Engine.total_probes
+  checki "same total probes under spinlock" free.Engine.total_probes locked.Engine.total_probes;
+  Alcotest.(check (array int))
+    "same per-cell counts under spinlock" free.Engine.counts locked.Engine.counts
+
+(* An obs-off run's set-up allocation is the per-worker tallies, one
+   word per cell each, merged in place: at n = 4096 (125,460 cells),
+   2 domains and one query each, it must stay under 3 words per cell. *)
+let test_run_setup_allocation () =
+  let rng = Rng.create 16 in
+  let universe = 1 lsl 24 in
+  let keys = Keyset.random rng ~universe ~n:4096 in
+  let inst = Lc_core.Dictionary.instance (Lc_core.Dictionary.build rng ~universe ~keys) in
+  let qdist = Qdist.uniform ~name:"pos" keys in
+  let run () = serve ~domains:2 ~queries_per_domain:1 ~seed:17 inst qdist in
+  ignore (run () : Engine.result);
+  let s0 = Gc.quick_stat () in
+  ignore (Sys.opaque_identity (run ()) : Engine.result);
+  let s1 = Gc.quick_stat () in
+  let words =
+    s1.Gc.minor_words -. s0.Gc.minor_words +. (s1.Gc.major_words -. s0.Gc.major_words)
+    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+  in
+  let space = inst.Instance.space in
+  checkb
+    (Printf.sprintf "set-up allocates %.0f words, %.2f x space (%d cells); under 3 x" words
+       (words /. float_of_int space) space)
+    true
+    (words < 3.0 *. float_of_int space)
 
 (* Crafted result records exercising the summarisers directly:
    count_histogram's log buckets must break exactly at powers of two,
@@ -486,6 +514,7 @@ let () =
           Alcotest.test_case "storm agreement" `Quick test_storm_agreement;
           Alcotest.test_case "hotspot separation" `Quick test_hotspot_separation;
           Alcotest.test_case "spinlock same tallies" `Quick test_spinlock_same_tallies;
+          Alcotest.test_case "run set-up allocation" `Quick test_run_setup_allocation;
           Alcotest.test_case "count_histogram buckets" `Quick test_count_histogram_buckets;
           Alcotest.test_case "top_cells" `Quick test_top_cells;
         ] );
