@@ -866,13 +866,7 @@ let perf_diff a b alpha json_out prom_out fail_on_regression =
   in
   let report = Diff.compare_artifacts ~alpha (load a) (load b) in
   print_string (Diff.render report);
-  Option.iter
-    (fun path ->
-      match Lc_obs.Json.to_string_strict (Diff.to_json report) with
-      | Ok s -> Lc_obs.Export.write_file ~path s
-      | Error { Lc_obs.Json.path = jpath; _ } ->
-        failwith (Printf.sprintf "non-finite value at %s in diff report" jpath))
-    json_out;
+  Option.iter (fun path -> Lc_obs.Codec.write Diff.document ~path report) json_out;
   Option.iter (fun path -> Lc_obs.Export.write_file ~path (Diff.prometheus report)) prom_out;
   if fail_on_regression && Diff.has_regression report then begin
     Printf.printf "%d configuration(s) regressed significantly\n" report.Diff.regressions;
@@ -1014,236 +1008,28 @@ let check_prom_line line =
         Error (Printf.sprintf "unparseable value %S" value)
       else Ok ()
 
-(* The /updates.json document ("lowcon-updates" v1): cumulative builder
-   counters — null exactly when the run never exercised the update path
-   — plus the per-window update entries. Validated structurally, the
-   same way the monitor builds it. *)
-let validate_updates doc =
-  let module J = Lc_obs.Json in
-  let module U = Lc_perf.Jsonu in
-  let ( let* ) = Result.bind in
-  let* () =
-    U.check_schema ~expect:Engine.Monitor.updates_schema_name
-      ~version:Engine.Monitor.updates_schema_version doc
-  in
-  let* seen = U.bool_field "updates_seen" doc in
-  let* cumulative = U.field "cumulative" doc in
-  let* () =
-    match (seen, cumulative) with
-    | false, J.Null -> Ok ()
-    | false, _ -> Error "\"cumulative\" must be null when updates_seen is false"
-    | true, J.Null -> Error "\"cumulative\" must be an object when updates_seen is true"
-    | true, c ->
-      let* _ = U.int_field "inserts" c in
-      let* _ = U.int_field "deletes" c in
-      let* _ = U.int_field "publications" c in
-      let* _ = U.int_field "reclaimed" c in
-      let* _ = U.int_field "cells_written" c in
-      let* _ = U.float_field "write_amp" c in
-      let* _ = U.int_field "epoch" c in
-      let* _ = U.int_field "retired_pending" c in
-      let* _ = U.int_field "reader_lag" c in
-      Ok ()
-  in
-  let* windows = U.list_field "windows" doc in
-  let* _ =
-    U.decode_list "windows"
-      (fun w ->
-        let* _ = U.int_field "index" w in
-        let* _ = U.float_field "ups" w in
-        let* _ = U.int_field "publications" w in
-        let* _ = U.int_field "cells_written" w in
-        let* _ = U.float_field "write_amp" w in
-        let* _ = U.float_field "rebuild_p99_ns" w in
-        let* _ = U.int_field "epoch" w in
-        let* _ = U.int_field "retired_pending" w in
-        let* _ = U.int_field "reader_lag" w in
-        Ok ())
-      windows
-  in
-  Ok (seen, List.length windows)
-
-(* The /scaling.json document ("lowcon-scaling-live" v1): cumulative
-   phase counters (checked against the attribution invariant: the five
-   in-wall phases sum exactly to wall), GC counters with their windowed
-   entries, and the co-heat object (null for runs without live per-cell
-   counters). *)
-let validate_scaling_live doc =
-  let module J = Lc_obs.Json in
-  let module U = Lc_perf.Jsonu in
-  let ( let* ) = Result.bind in
-  let* () =
-    U.check_schema ~expect:Engine.Monitor.scaling_schema_name
-      ~version:Engine.Monitor.scaling_schema_version doc
-  in
-  let* domains = U.int_field "domains" doc in
-  let* phases = U.field "phases" doc in
-  let* () =
-    List.fold_left
-      (fun acc (phase, _) ->
-        let* () = acc in
-        let* _ = U.in_context "phases" (U.int_field (phase ^ "_ns") phases) in
-        Ok ())
-      (Ok ()) Engine.phase_counter_names
-  in
-  let* () =
-    let ns phase =
-      match J.member (phase ^ "_ns") phases with
-      | Some v -> Option.value ~default:0 (J.int_value v)
-      | None -> 0
-    in
-    let parts = ns "probe" + ns "tally" + ns "publish" + ns "pin" + ns "other" in
-    if parts <> ns "wall" then
-      Error
-        (Printf.sprintf "phases sum to %d ns but wall is %d ns — attribution does not \
-                         reconcile" parts (ns "wall"))
-    else Ok ()
-  in
-  let* gc = U.field "gc" doc in
-  let* _ = U.in_context "gc" (U.int_field "minor_words" gc) in
-  let* _ = U.in_context "gc" (U.int_field "promoted_words" gc) in
-  let* _ = U.in_context "gc" (U.int_field "major_words" gc) in
-  let* gws = U.in_context "gc" (U.list_field "windows" gc) in
-  let* _ =
-    U.decode_list "windows"
-      (fun w ->
-        let* _ = U.int_field "index" w in
-        let* _ = U.int_field "queries" w in
-        let* _ = U.int_field "minor_words" w in
-        let* _ = U.int_field "minor_collections" w in
-        let* _ = U.int_field "major_collections" w in
-        let* _ = U.float_field "alloc_per_query" w in
-        let* _ = U.int_field "heap_words" w in
-        Ok ())
-      gws
-  in
-  let* () =
-    match J.member "coheat" doc with
-    | None -> Error "missing member \"coheat\""
-    | Some J.Null -> Ok ()
-    | Some ch ->
-      U.in_context "coheat"
-        (let* _ = U.int_field "line_cells" ch in
-         let* ratio = U.float_field "ratio" ch in
-         let* _ = U.float_field "uniform_bound" ch in
-         let* _ = U.int_field "hottest_line" ch in
-         if ratio < 0.0 || ratio >= 1.0 then Error "ratio out of [0, 1)" else Ok ())
-  in
-  Ok (domains, List.length gws)
-
-(* The /control.json document ("lowcon-control" v1): the replication
-   controller's policy, live state and decision log. Beyond shape, the
-   decision log's internal invariants are checked: ids are 1..N with
-   N = decisions_total, every boost is a power of two inside the
-   policy's [min, max] band, and consecutive decisions chain (each
-   old_boost is the previous new_boost) — the same reconciliation the
-   postmortem replay performs against the journal. *)
-let validate_control doc =
-  let module J = Lc_obs.Json in
-  let module U = Lc_perf.Jsonu in
-  let ( let* ) = Result.bind in
-  let* () =
-    U.check_schema ~expect:Engine.Monitor.control_schema_name
-      ~version:Engine.Monitor.control_schema_version doc
-  in
-  let* attached = U.bool_field "attached" doc in
-  if not attached then Ok (false, 0)
-  else
-    let* boost = U.field "boost" doc in
-    let* base = U.in_context "boost" (U.int_field "base" boost) in
-    let* _ = U.in_context "boost" (U.int_field "target" boost) in
-    let* _ = U.in_context "boost" (U.int_field "applied" boost) in
-    let* policy = U.field "policy" doc in
-    let* () =
-      U.in_context "policy"
-        (let* _ = U.float_field "high_ratio" policy in
-         let* _ = U.float_field "low_ratio" policy in
-         let* _ = U.int_field "hot_contrib" policy in
-         let* _ = U.int_field "cool_contrib" policy in
-         let* _ = U.int_field "high_threshold" policy in
-         let* _ = U.int_field "low_threshold" policy in
-         let* _ = U.int_field "cooldown_windows" policy in
-         let* _ = U.int_field "step" policy in
-         Ok ())
-    in
-    let* min_boost = U.in_context "policy" (U.int_field "min_boost" policy) in
-    let* max_boost = U.in_context "policy" (U.int_field "max_boost" policy) in
-    let* state = U.field "state" doc in
-    let* () =
-      U.in_context "state"
-        (let* _ = U.int_field "score" state in
-         let* _ = U.int_field "cooldown" state in
-         let* _ = U.int_field "windows_seen" state in
-         let* _ = U.float_field "last_ratio" state in
-         Ok ())
-    in
-    let* total = U.int_field "decisions_total" doc in
-    let* ds = U.list_field "decisions" doc in
-    let pow2 b = b > 0 && b land (b - 1) = 0 in
-    let* decisions =
-      U.decode_list "decisions"
-        (fun d ->
-          let* id = U.int_field "id" d in
-          let* _ = U.int_field "window" d in
-          let* _ = U.float_field "ratio" d in
-          let* _ = U.int_field "cell" d in
-          let* _ = U.int_field "count" d in
-          let* _ = U.int_field "err" d in
-          let* _ = U.int_field "score" d in
-          let* action = U.str_field "action" d in
-          let* () =
-            if action = "raise" || action = "lower" then Ok ()
-            else Error (Printf.sprintf "decision %d: bad action %S" id action)
-          in
-          let* old_boost = U.int_field "old_boost" d in
-          let* new_boost = U.int_field "new_boost" d in
-          let* _ = U.int_field "cooldown" d in
-          let* () =
-            if pow2 old_boost && pow2 new_boost && new_boost >= min_boost
-               && new_boost <= max_boost
-            then Ok ()
-            else Error (Printf.sprintf "decision %d: boost %d -> %d outside the power-of-two \
-                                        [%d, %d] band" id old_boost new_boost min_boost
-                          max_boost)
-          in
-          Ok (id, old_boost, new_boost))
-        ds
-    in
-    let* () =
-      if List.length decisions <> total then
-        Error
-          (Printf.sprintf "decisions_total is %d but %d decision(s) listed" total
-             (List.length decisions))
-      else Ok ()
-    in
-    let* _ =
-      List.fold_left
-        (fun acc (id, old_boost, new_boost) ->
-          let* expect_id, expect_boost = acc in
-          if id <> expect_id then
-            Error (Printf.sprintf "decision ids not consecutive: expected %d, got %d" expect_id id)
-          else if old_boost <> expect_boost then
-            Error
-              (Printf.sprintf "decision %d: old_boost %d does not chain from %d" id old_boost
-                 expect_boost)
-          else Ok (id + 1, new_boost))
-        (Ok (1, base)) decisions
-    in
-    Ok (true, total)
+(* Every schema-versioned document, keyed by its "schema" member. *)
+let documents =
+  Lc_obs.Codec.
+    [
+      validator Artifact.document;
+      validator Scaling.document;
+      validator Postmortem.document;
+      validator Diff.document;
+      validator Lc_lint.Report.document;
+      validator Engine.Monitor.updates_document;
+      validator Engine.Monitor.scaling_document;
+      validator Engine.Monitor.control_document;
+    ]
 
 (* Per-file verdict: Ok describes what was recognised, Error what broke.
    Recognition is by content (the "schema" member), not by filename, so
    a renamed artifact still validates against the right grammar. *)
 let validate_one path =
-  let read path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  if not (Sys.file_exists path) then Error "no such file"
-  else if Filename.check_suffix path ".prom" then begin
-    let lines = String.split_on_char '\n' (read path) in
+  let ( let* ) = Result.bind in
+  let* text = Lc_obs.Codec.read_file path in
+  if Filename.check_suffix path ".prom" then begin
+    let lines = String.split_on_char '\n' text in
     let series = ref 0 in
     let first_err = ref None in
     List.iteri
@@ -1261,82 +1047,14 @@ let validate_one path =
       else Ok (Printf.sprintf "prometheus exposition, %d series lines" !series)
   end
   else
-    match Lc_obs.Json.parse (read path) with
+    match Lc_obs.Json.parse text with
     | Error e -> Error ("invalid JSON — " ^ e)
     | Ok doc -> (
       match Lc_obs.Json.member "schema" doc with
-      | Some (Lc_obs.Json.String s) when s = Artifact.schema_name -> (
-        match Artifact.of_json doc with
-        | Ok art ->
-          Ok
-            (Printf.sprintf "%s v%d, %d entries, seed %d" Artifact.schema_name
-               Artifact.schema_version
-               (List.length art.Artifact.entries)
-               art.Artifact.fingerprint.Artifact.seed)
-        | Error e -> Error e)
-      | Some (Lc_obs.Json.String s) when s = Lc_lint.Report.schema_name -> (
-        match Lc_lint.Report.of_json doc with
-        | Ok r ->
-          let active =
-            List.length (List.filter (fun a -> a.Lc_lint.Report.suppressed = None)
-                           r.Lc_lint.Report.results)
-          in
-          Ok
-            (Printf.sprintf "%s v%d, %d file(s) scanned, %d active / %d suppressed finding(s)"
-               Lc_lint.Report.schema_name Lc_lint.Report.schema_version
-               r.Lc_lint.Report.files_scanned active
-               (List.length r.Lc_lint.Report.results - active))
-        | Error e -> Error e)
-      | Some (Lc_obs.Json.String s) when s = Engine.Monitor.updates_schema_name -> (
-        match validate_updates doc with
-        | Ok (seen, nwindows) ->
-          Ok
-            (Printf.sprintf "%s v%d, %s, %d update window(s)"
-               Engine.Monitor.updates_schema_name Engine.Monitor.updates_schema_version
-               (if seen then "updates seen" else "no updates (static run)")
-               nwindows)
-        | Error e -> Error e)
-      | Some (Lc_obs.Json.String s) when s = Scaling.schema_name -> (
-        match Scaling.of_json doc with
-        | Ok sc ->
-          Ok
-            (Printf.sprintf "%s v%d, %s/%s, %d point(s), %s" Scaling.schema_name
-               Scaling.schema_version sc.Scaling.structure sc.Scaling.workload
-               (List.length sc.Scaling.points)
-               (match sc.Scaling.fit with
-               | Some f ->
-                 Printf.sprintf "sigma %.4f kappa %.6f" f.Lc_analysis.Usl.sigma
-                   f.Lc_analysis.Usl.kappa
-               | None -> "no fit"))
-        | Error e -> Error e)
-      | Some (Lc_obs.Json.String s) when s = Engine.Monitor.scaling_schema_name -> (
-        match validate_scaling_live doc with
-        | Ok (domains, gwindows) ->
-          Ok
-            (Printf.sprintf "%s v%d, %d domain(s), %d GC window(s)"
-               Engine.Monitor.scaling_schema_name Engine.Monitor.scaling_schema_version domains
-               gwindows)
-        | Error e -> Error e)
-      | Some (Lc_obs.Json.String s) when s = Engine.Monitor.control_schema_name -> (
-        match validate_control doc with
-        | Ok (attached, total) ->
-          Ok
-            (Printf.sprintf "%s v%d, %s"
-               Engine.Monitor.control_schema_name Engine.Monitor.control_schema_version
-               (if attached then Printf.sprintf "%d decision(s), chain reconciled" total
-                else "no controller attached"))
-        | Error e -> Error e)
-      | Some (Lc_obs.Json.String s) when s = Postmortem.schema_name -> (
-        match Postmortem.of_json doc with
-        | Ok pm ->
-          Ok
-            (Printf.sprintf "%s v%d, %d windows, %d events, trigger window %d"
-               Postmortem.schema_name Postmortem.schema_version
-               (List.length pm.Postmortem.windows)
-               (List.length pm.Postmortem.events)
-               pm.Postmortem.trigger.Postmortem.index)
-        | Error e -> Error e)
-      | Some (Lc_obs.Json.String s) -> Error (Printf.sprintf "unknown schema %S" s)
+      | Some (Lc_obs.Json.String s) -> (
+        match List.assoc_opt s documents with
+        | Some check -> check doc
+        | None -> Error (Printf.sprintf "unknown schema %S" s))
       | Some _ -> Error "\"schema\" member is not a string"
       | None -> (
         match (Lc_obs.Json.member "version" doc, Lc_obs.Json.member "runs" doc) with
@@ -1379,11 +1097,13 @@ let validate_cmd =
   Cmd.v
     (Cmd.info "validate"
        ~doc:
-         "Grammar-check artifacts: BENCH_*.json, lowcon-scaling sweeps, /scaling.json and \
-          /updates.json scrapes, postmortem dumps, and lowcon-lint reports against their \
-          schemas, metrics JSON for its counters object, and .prom files against the \
-          Prometheus exposition line grammar. One pass/fail line per file; exit 1 if any \
-          file fails.")
+         "Grammar-check artifacts by decoding them against their schemas: BENCH_*.json \
+          (lowcon-bench), lowcon scale sweeps (lowcon-scaling), postmortem dumps \
+          (lowcon-postmortem), perf diff reports (lowcon-perf-diff), lint reports \
+          (lowcon-lint), and /updates.json, /scaling.json and /control.json scrapes \
+          (lowcon-updates, lowcon-scaling-live, lowcon-control); SARIF structurally, metrics \
+          JSON for its counters object, and .prom files against the Prometheus exposition \
+          line grammar. One pass/fail line per file; exit 1 if any file fails.")
     Term.(ret (const validate $ validate_files_arg))
 
 (* ------------------------------------------------------------------ *)

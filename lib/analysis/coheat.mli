@@ -21,9 +21,6 @@ type t = {
   hottest_line_share : float;
 }
 
-val default_line_cells : int
-(** 8 — one 64-byte cache line of one-word cells. *)
-
 val of_counts : ?line_cells:int -> int array -> t
 (** [of_counts counts] aggregates a per-cell tally array (as returned by
     the engine's [counts] result field) into line buckets. Raises

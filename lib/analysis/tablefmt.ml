@@ -13,10 +13,6 @@ let add_row t row =
 
 let fmt_g v = Printf.sprintf "%.4g" v
 
-let add_float_row t ~fmt label values =
-  add_row t (label :: List.map fmt values);
-  t
-
 let render t =
   let all = t.columns :: t.rows in
   let ncols = List.length t.columns in

@@ -12,10 +12,6 @@ val add_row : t -> string list -> unit
 (** Append a row; must have exactly as many entries as there are
     columns. *)
 
-val add_float_row : t -> fmt:(float -> string) -> string -> float list -> t
-(** Convenience: a label cell followed by formatted floats; returns the
-    table for chaining. *)
-
 val render : t -> string
 (** The aligned ASCII rendering, title first. *)
 

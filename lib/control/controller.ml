@@ -77,6 +77,25 @@ let windowed_evidence prev top =
       | _ -> Some (e.item, w, e.count, e.err))
     None top
 
+let decision_codec =
+  Lc_obs.Codec.(
+    obj (fun d_id d_window d_ratio d_cell d_count d_err d_score d_action d_old_boost d_new_boost
+             d_cooldown ->
+        { d_id; d_window; d_ratio; d_cell; d_count; d_err; d_score; d_action; d_old_boost;
+          d_new_boost; d_cooldown })
+    |> field "id" (fun d -> d.d_id) int
+    |> field "window" (fun d -> d.d_window) int
+    |> field "ratio" (fun d -> d.d_ratio) float
+    |> field "cell" (fun d -> d.d_cell) int
+    |> field "count" (fun d -> d.d_count) int
+    |> field "err" (fun d -> d.d_err) int
+    |> field "score" (fun d -> d.d_score) int
+    |> field "action" (fun d -> d.d_action) (enum [ ("raise", `Raise); ("lower", `Lower) ])
+    |> field "old_boost" (fun d -> d.d_old_boost) int
+    |> field "new_boost" (fun d -> d.d_new_boost) int
+    |> field "cooldown" (fun d -> d.d_cooldown) int
+    |> seal)
+
 let observe t ~window ~queries top =
   t.n_windows <- t.n_windows + 1;
   let cell, wtally, count, err =

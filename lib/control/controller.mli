@@ -54,6 +54,10 @@ type decision = {
     [Control_decision] and served in [/control.json]; the three views
     reconcile field for field. *)
 
+val decision_codec : decision Lc_obs.Codec.t
+(** One decision as [/control.json] and a postmortem's
+    [control_decision] event carry it. *)
+
 type t
 
 val create :

@@ -37,6 +37,24 @@ let default =
     step = 4;
   }
 
+let codec =
+  Lc_obs.Codec.(
+    obj (fun high_ratio low_ratio hot_contrib cool_contrib high_threshold low_threshold
+             cooldown_windows min_boost max_boost step ->
+        { high_ratio; low_ratio; hot_contrib; cool_contrib; high_threshold; low_threshold;
+          cooldown_windows; min_boost; max_boost; step })
+    |> field "high_ratio" (fun c -> c.high_ratio) float
+    |> field "low_ratio" (fun c -> c.low_ratio) float
+    |> field "hot_contrib" (fun c -> c.hot_contrib) int
+    |> field "cool_contrib" (fun c -> c.cool_contrib) int
+    |> field "high_threshold" (fun c -> c.high_threshold) int
+    |> field "low_threshold" (fun c -> c.low_threshold) int
+    |> field "cooldown_windows" (fun c -> c.cooldown_windows) int
+    |> field "min_boost" (fun c -> c.min_boost) int
+    |> field "max_boost" (fun c -> c.max_boost) int
+    |> field "step" (fun c -> c.step) int
+    |> seal)
+
 type action =
   | Raise of { from_boost : int; to_boost : int; score : int }
   | Lower of { from_boost : int; to_boost : int; score : int }

@@ -44,6 +44,9 @@ val default : config
     4 windows, sustained cool decays in 8), [cooldown_windows = 2],
     boost in [1, 4096] stepping by [8]. *)
 
+val codec : config Lc_obs.Codec.t
+(** The policy object [/control.json] serves, one member per field. *)
+
 type action =
   | Raise of { from_boost : int; to_boost : int; score : int }
       (** The score reached [high_threshold] at value [score]. *)

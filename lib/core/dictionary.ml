@@ -6,8 +6,6 @@ let build ?d ?delta ?c ?alpha ?beta ?max_trials ?obs rng ~universe ~keys =
   let params = Params.make ?d ?delta ?c ?alpha ?beta ~universe ~n:(Array.length keys) () in
   Structure.build ?max_trials ?obs rng params ~keys
 
-let of_structure s = s
-
 let mem t rng x = Query.mem t rng x
 let params (t : t) = t.params
 let structure t = t

@@ -54,10 +54,6 @@ val build :
     / row writing, plus rejection-reason counters; see
     {!Structure.build}. Absent (the default) means no telemetry work. *)
 
-val of_structure : Structure.t -> t
-(** Wrap an already-built structure (used by experiments that need the
-    internals too). *)
-
 val mem : t -> Lc_prim.Rng.t -> int -> bool
 (** [mem t rng x] answers the membership query; [rng] only balances
     probes across replicas, so the answer is deterministic. *)

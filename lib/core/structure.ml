@@ -249,4 +249,3 @@ let build ?(max_trials = 10_000) ?obs rng (p : Params.t) ~keys =
   }
 
 let bucket_of t x = Dm_family.eval t.top x
-let group_of t x = Dm_family.eval t.top x mod t.params.m

@@ -64,6 +64,3 @@ val build :
 
 val bucket_of : t -> int -> int
 (** [bucket_of t x = h(x)], for tests and experiments. *)
-
-val group_of : t -> int -> int
-(** [group_of t x = h(x) mod m]. *)

@@ -61,12 +61,6 @@ let atomic_counts t =
   | Instrumented | Uninstrumented ->
     invalid_arg "Instance.atomic_counts: instance is not in atomic mode"
 
-let reset_atomic_counts t =
-  match t.mode with
-  | Atomic_counters -> Array.iter (fun c -> Atomic.set c 0) t.counters
-  | Instrumented | Uninstrumented ->
-    invalid_arg "Instance.reset_atomic_counts: instance is not in atomic mode"
-
 (* The trivial Ops_intf implementation: membership through a private
    atomic-mode rewrap (so probes are counted reentrantly), updates
    rejected loudly — a static table cannot change. *)

@@ -81,11 +81,6 @@ val atomic_counts : t -> int array
 (** Snapshot of the per-cell atomic counters. Raises [Invalid_argument]
     unless the instance is in [Atomic_counters] mode. *)
 
-val reset_atomic_counts : t -> unit
-(** Zero the atomic counters (callers must ensure no query is in
-    flight). Raises [Invalid_argument] unless in [Atomic_counters]
-    mode. *)
-
 val ops_handle : t -> Ops_intf.handle
 (** The instance as a uniform {!Ops_intf.S} structure: [mem] runs
     through a {e fresh} atomic-mode rewrap of the core (reentrant,

@@ -63,7 +63,6 @@ type t = {
      publication wall time, and reclamation lag in epochs. *)
   mutable pending_updates : int;
   mutable publish_ns_total : int;
-  mutable reclaim_lag_total : int;
   mutable reclaim_lag_max : int;
 }
 
@@ -188,7 +187,6 @@ let create ?small_level_boost ?(max_readers = 64) rng ~universe () =
       drained_probes = 0;
       pending_updates = 0;
       publish_ns_total = 0;
-      reclaim_lag_total = 0;
       reclaim_lag_max = 0;
     }
   in
@@ -263,7 +261,6 @@ let request_boost t ~id ~boost =
     invalid_arg "Epoch.request_boost: boost must be a power of two";
   Atomic.set t.boost_request { br_id = id; br_boost = boost }
 
-let requested_boost t = (Atomic.get t.boost_request).br_boost
 let applied_boost t = Atomic.get t.applied_boost
 let boost_pending t = (Atomic.get t.boost_request).br_id <> t.applied_request_id
 
@@ -322,7 +319,6 @@ let try_reclaim t =
         (* Reclamation lag: how many publications the level outlived its
            retirement by before memory actually came back. *)
         let lag = now_epoch - e in
-        t.reclaim_lag_total <- t.reclaim_lag_total + lag;
         t.reclaim_lag_max <- max t.reclaim_lag_max lag)
       free;
     t.retired <- keep;
@@ -511,9 +507,7 @@ let snapshot_counts s =
 let publications t = t.publications
 let reclaimed t = t.reclaimed
 let retired_pending t = List.length t.retired
-let pending_updates t = t.pending_updates
 let publish_ns_total t = t.publish_ns_total
-let reclaim_lag_total t = t.reclaim_lag_total
 let reclaim_lag_max t = t.reclaim_lag_max
 
 let announced_min t =

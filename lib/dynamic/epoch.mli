@@ -140,10 +140,6 @@ val request_boost : t -> id:int -> boost:int -> unit
     a request exactly once per id and echoes the id in its accounting.
     Safe from any domain. *)
 
-val requested_boost : t -> int
-(** The most recently requested boost (the create-time boost before any
-    request). Safe from any domain. *)
-
 val applied_boost : t -> int
 (** The effective boost the builder last applied (the create-time boost
     before any request) — the actuation gauge. Safe from any domain. *)
@@ -256,26 +252,12 @@ val reclaimed : t -> int
 val retired_pending : t -> int
 (** Retired levels still waiting for readers to leave. *)
 
-val pending_updates : t -> int
-(** Updates applied since the last publication (the batch the next
-    {!publish} will make visible). Builder-owned counter. *)
-
 val publish_ns_total : t -> int
 (** Cumulative wall time spent inside {!publish}, nanoseconds.
     Builder-owned. *)
 
-val reclaim_lag_total : t -> int
-(** Sum over freed levels of their reclamation lag — how many epochs
-    each level sat retired before {!try_reclaim} freed it. With
-    {!reclaimed} this gives the mean lag. Builder-owned. *)
-
 val reclaim_lag_max : t -> int
 (** Worst reclamation lag observed so far, in epochs. Builder-owned. *)
-
-val announced_min : t -> int option
-(** The minimum epoch currently announced across reader slots — the
-    reclamation horizon — or [None] when every reader is quiescent.
-    Reads only atomics; safe from any domain. *)
 
 val reader_lag : t -> int
 (** [epoch (current t) - announced_min], or [0] when all readers are

@@ -28,10 +28,6 @@ val eval : t -> int -> int
 (** [eval h x] is [h(x)] in [0, m-1]. [x] must lie in [0, p-1] (i.e. in
     the key universe). *)
 
-val eval_field : t -> int -> int
-(** [eval_field h x] is the polynomial value in [Z_p] {e before} the mod-[m]
-    reduction; exposed for independence tests. *)
-
 val d : t -> int
 (** Number of coefficients (the independence parameter). *)
 

@@ -34,8 +34,6 @@ let eval h x =
 
 let chars h = Array.length h.tables
 
-let table_words h = Array.fold_left (fun acc t -> acc + Array.length t) 0 h.tables
-
 let words h = Array.concat (Array.to_list h.tables)
 
 let of_words ~universe_bits ~chunk_bits ~m ws =

@@ -29,9 +29,6 @@ val eval : t -> int -> int
 val chars : t -> int
 (** Number of chunk tables. *)
 
-val table_words : t -> int
-(** Total random words backing the function — the replication cost. *)
-
 val words : t -> int array
 (** The flattened tables (row-major by character), for cell storage. *)
 

@@ -10,7 +10,7 @@
    findings, 2 = usage or parse error. Parse errors dominate findings:
    a tree the linter cannot read is not a tree it can vouch for. *)
 
-module Json = Lc_obs.Json
+module Codec = Lc_obs.Codec
 
 let schema_name = "lowcon-lint"
 let schema_version = 2
@@ -50,212 +50,124 @@ let exit_code r =
   if r.parse_errors <> [] then 2 else if active r <> [] then 1 else 0
 
 (* ------------------------------------------------------------------ *)
-(* JSON encoding                                                       *)
+(* The JSON document (validate round-trips through this)               *)
 (* ------------------------------------------------------------------ *)
 
-let annotated_to_json a =
-  let f = a.finding in
-  let base =
-    [
-      ("rule", Json.String (Rule.id f.Finding.rule));
-      ("file", Json.String f.Finding.file);
-      ("line", Json.Int f.Finding.line);
-      ("col", Json.Int f.Finding.col);
-      ("context", Json.String f.Finding.context);
-      ("message", Json.String f.Finding.message);
-    ]
-    @ (match f.Finding.words with None -> [] | Some w -> [ ("words", Json.Int w) ])
-  in
-  let supp =
-    match a.suppressed with
-    | None -> [ ("suppressed", Json.Bool false) ]
-    | Some s ->
-      [
-        ("suppressed", Json.Bool true);
-        ( "suppression",
-          Json.Obj
-            ([
-               ("justification", Json.String s.justification);
-               ("entry_line", Json.Int s.entry_line);
-             ]
-            @
-            match s.expires with
-            | None -> []
-            | Some d -> [ ("expires", Json.String d) ]) );
-      ]
-  in
-  Json.Obj (base @ supp)
+let rule_codec = Codec.enum (List.map (fun r -> (Rule.id r, r)) Rule.all)
 
-let to_json r =
-  let rule_to_json rule =
-    Json.Obj
-      [
-        ("id", Json.String (Rule.id rule));
-        ("title", Json.String (Rule.title rule));
-        ("intent", Json.String (Rule.intent rule));
-      ]
-  in
-  let pe_to_json pe =
-    Json.Obj
-      [
-        ("file", Json.String pe.pe_file);
-        ("line", Json.Int pe.pe_line);
-        ("col", Json.Int pe.pe_col);
-        ("message", Json.String pe.pe_message);
-      ]
-  in
-  let unused_to_json (text, line) =
-    Json.Obj [ ("entry", Json.String text); ("line", Json.Int line) ]
-  in
-  Json.Obj
-    ([
-       ("schema", Json.String schema_name);
-       ("version", Json.Int schema_version);
-       ("root", Json.String r.root);
-       ("files_scanned", Json.Int r.files_scanned);
-       ("rules", Json.List (List.map rule_to_json r.rules));
-       ("findings", Json.List (List.map annotated_to_json r.results));
-       ("parse_errors", Json.List (List.map pe_to_json r.parse_errors));
-       ( "summary",
-         Json.Obj
-           [
-             ("active", Json.Int (List.length (active r)));
-             ("suppressed", Json.Int (List.length (suppressed r)));
-             ("parse_errors", Json.Int (List.length r.parse_errors));
-             ("exit_code", Json.Int (exit_code r));
-           ] );
-     ]
-    @
-    match r.baseline with
-    | None -> []
-    | Some b ->
-      [
-        ( "baseline",
-          Json.Obj
-            [
-              ("path", Json.String b.baseline_path);
-              ("entries", Json.Int b.entries);
-              ("used", Json.Int b.used);
-              ("unused", Json.List (List.map unused_to_json b.unused));
-              ("expired", Json.List (List.map unused_to_json b.expired));
-              ("untagged", Json.List (List.map unused_to_json b.untagged));
-            ] );
-      ])
+let finding_codec =
+  Codec.(
+    obj (fun rule file line col context message words ->
+        { Finding.rule; file; line; col; context; message; words })
+    |> field "rule" (fun f -> f.Finding.rule) rule_codec
+    |> field "file" (fun f -> f.Finding.file) string
+    |> field "line" (fun f -> f.Finding.line) int
+    |> field "col" (fun f -> f.Finding.col) int
+    |> field "context" (fun f -> f.Finding.context) string
+    |> field "message" (fun f -> f.Finding.message) string
+    |> opt "words" (fun f -> f.Finding.words) int
+    |> seal)
 
-(* ------------------------------------------------------------------ *)
-(* JSON decoding (validate round-trips through this)                   *)
-(* ------------------------------------------------------------------ *)
+(* "suppressed" is a flag; the "suppression" object follows it exactly
+   when it is true. *)
+let suppression_codec =
+  Codec.(
+    flagged "suppressed"
+      (obj Fun.id
+      |> field "suppression" Fun.id
+           (obj (fun justification entry_line expires -> { justification; expires; entry_line })
+           |> field "justification" (fun s -> s.justification) string
+           |> field "entry_line" (fun s -> s.entry_line) int
+           |> opt "expires" (fun s -> s.expires) string
+           |> seal)
+      |> seal))
 
-let ( let* ) = Option.bind
+let entry_line_codec =
+  Codec.(
+    obj (fun text line -> (text, line))
+    |> field "entry" fst string
+    |> field "line" snd int
+    |> seal)
 
-let str_m k j = Option.bind (Json.member k j) Json.string_value
-let int_m k j = Option.bind (Json.member k j) Json.int_value
-let bool_m k j = Option.bind (Json.member k j) Json.bool_value
+let baseline_codec =
+  Codec.(
+    obj (fun baseline_path entries used unused expired untagged ->
+        { baseline_path; entries; used; unused; expired; untagged })
+    |> field "path" (fun b -> b.baseline_path) string
+    |> field "entries" (fun b -> b.entries) int
+    |> field "used" (fun b -> b.used) int
+    |> field "unused" (fun b -> b.unused) (list entry_line_codec)
+    |> field "expired" (fun b -> b.expired) (list entry_line_codec)
+    |> field "untagged" (fun b -> b.untagged) (list entry_line_codec)
+    |> seal)
 
-let annotated_of_json j =
-  let* rule_s = str_m "rule" j in
-  let* rule = Rule.of_id rule_s in
-  let* file = str_m "file" j in
-  let* line = int_m "line" j in
-  let* col = int_m "col" j in
-  let* context = str_m "context" j in
-  let* message = str_m "message" j in
-  let* supp_flag = bool_m "suppressed" j in
-  let* suppressed =
-    if not supp_flag then Some None
-    else
-      let* s = Json.member "suppression" j in
-      let* justification = str_m "justification" s in
-      let* entry_line = int_m "entry_line" s in
-      Some (Some { justification; expires = str_m "expires" s; entry_line })
-  in
-  let f = Finding.make ~rule ~file ~line ~col ~context ~message in
-  Some { finding = { f with Finding.words = int_m "words" j }; suppressed }
+(* The summary is derived from the findings: written from the report,
+   read back only to be checked against it. *)
+let document =
+  Codec.(
+    document ~name:schema_name ~version:schema_version
+      ~summary:(fun r ->
+        Printf.sprintf "%d file(s) scanned, %d active / %d suppressed finding(s)"
+          r.files_scanned
+          (List.length (active r))
+          (List.length (suppressed r)))
+      (obj (fun root files_scanned rules results parse_errors summary baseline ->
+           ({ root; files_scanned; rules; results; parse_errors; baseline }, summary))
+      |> field "root" (fun (r, _) -> r.root) string
+      |> field "files_scanned" (fun (r, _) -> r.files_scanned) int
+      |> field "rules" (fun (r, _) -> r.rules)
+           (list
+              (obj (fun rule _title _intent -> rule)
+              |> field "id" Fun.id rule_codec
+              |> field "title" Rule.title string
+              |> field "intent" Rule.intent string
+              |> seal))
+      |> field "findings" (fun (r, _) -> r.results)
+           (list
+              (obj (fun finding suppressed -> { finding; suppressed })
+              |> inline (fun a -> a.finding) finding_codec
+              |> inline (fun a -> a.suppressed) suppression_codec
+              |> seal))
+      |> field "parse_errors" (fun (r, _) -> r.parse_errors)
+           (list
+              (obj (fun pe_file pe_line pe_col pe_message ->
+                   { pe_file; pe_line; pe_col; pe_message })
+              |> field "file" (fun pe -> pe.pe_file) string
+              |> field "line" (fun pe -> pe.pe_line) int
+              |> field "col" (fun pe -> pe.pe_col) int
+              |> field "message" (fun pe -> pe.pe_message) string
+              |> seal))
+      |> field "summary" snd
+           (obj (fun a s p e -> (a, s, p, e))
+           |> field "active" (fun (a, _, _, _) -> a) int
+           |> field "suppressed" (fun (_, s, _, _) -> s) int
+           |> field "parse_errors" (fun (_, _, p, _) -> p) int
+           |> field "exit_code" (fun (_, _, _, e) -> e) int
+           |> seal)
+      |> opt "baseline" (fun (r, _) -> r.baseline) baseline_codec
+      |> seal
+      |> check (fun (r, (s_active, _, _, s_exit)) ->
+             if List.length (active r) <> s_active then
+               Error
+                 (Printf.sprintf "summary.active is %d but findings list %d unsuppressed"
+                    s_active
+                    (List.length (active r)))
+             else if exit_code r <> s_exit then
+               Error
+                 (Printf.sprintf "summary.exit_code is %d but findings imply %d" s_exit
+                    (exit_code r))
+             else Ok ())
+      |> conv
+           (fun r ->
+             ( r,
+               ( List.length (active r),
+                 List.length (suppressed r),
+                 List.length r.parse_errors,
+                 exit_code r ) ))
+           fst))
 
-let pe_of_json j =
-  let* pe_file = str_m "file" j in
-  let* pe_line = int_m "line" j in
-  let* pe_col = int_m "col" j in
-  let* pe_message = str_m "message" j in
-  Some { pe_file; pe_line; pe_col; pe_message }
-
-let entry_line_of_json j =
-  let* text = str_m "entry" j in
-  let* line = int_m "line" j in
-  Some (text, line)
-
-let baseline_of_json j =
-  let* baseline_path = str_m "path" j in
-  let* entries = int_m "entries" j in
-  let* used = int_m "used" j in
-  let* unused_j = Json.member "unused" j in
-  let* expired_j = Json.member "expired" j in
-  let all_some xs = if List.exists Option.is_none xs then None else Some (List.map Option.get xs) in
-  let* untagged_j = Json.member "untagged" j in
-  let* unused = all_some (List.map entry_line_of_json (Json.to_list unused_j)) in
-  let* expired = all_some (List.map entry_line_of_json (Json.to_list expired_j)) in
-  let* untagged = all_some (List.map entry_line_of_json (Json.to_list untagged_j)) in
-  Some { baseline_path; entries; used; unused; expired; untagged }
-
-let of_json j =
-  let fail msg = Error msg in
-  match str_m "schema" j with
-  | Some s when s <> schema_name -> fail (Printf.sprintf "schema is %S, want %S" s schema_name)
-  | None -> fail "missing \"schema\" member"
-  | Some _ -> (
-    match int_m "version" j with
-    | Some v when v <> schema_version ->
-      fail (Printf.sprintf "version %d unsupported (reader knows %d)" v schema_version)
-    | None -> fail "missing \"version\" member"
-    | Some _ -> (
-      let req name = function
-        | Some v -> Ok v
-        | None -> fail (Printf.sprintf "missing or ill-typed %S" name)
-      in
-      let ( >>= ) r f = Result.bind r f in
-      req "root" (str_m "root" j) >>= fun root ->
-      req "files_scanned" (int_m "files_scanned" j) >>= fun files_scanned ->
-      req "rules" (Json.member "rules" j) >>= fun rules_j ->
-      let rules =
-        List.filter_map (fun rj -> Option.bind (str_m "id" rj) Rule.of_id)
-          (Json.to_list rules_j)
-      in
-      if List.length rules <> List.length (Json.to_list rules_j) then
-        fail "rules list contains an unknown rule id"
-      else
-        req "findings" (Json.member "findings" j) >>= fun findings_j ->
-        let results = List.map annotated_of_json (Json.to_list findings_j) in
-        if List.exists Option.is_none results then fail "malformed finding entry"
-        else
-          let results = List.map Option.get results in
-          req "parse_errors" (Json.member "parse_errors" j) >>= fun pes_j ->
-          let pes = List.map pe_of_json (Json.to_list pes_j) in
-          if List.exists Option.is_none pes then fail "malformed parse_errors entry"
-          else
-            let parse_errors = List.map Option.get pes in
-            req "summary" (Json.member "summary" j) >>= fun summary ->
-            req "summary.active" (int_m "active" summary) >>= fun s_active ->
-            req "summary.exit_code" (int_m "exit_code" summary) >>= fun s_exit ->
-            let baseline =
-              match Json.member "baseline" j with
-              | None -> Ok None
-              | Some bj -> (
-                match baseline_of_json bj with
-                | Some b -> Ok (Some b)
-                | None -> fail "malformed baseline summary")
-            in
-            baseline >>= fun baseline ->
-            let r = { root; files_scanned; rules; results; parse_errors; baseline } in
-            if List.length (active r) <> s_active then
-              fail
-                (Printf.sprintf "summary.active is %d but findings list %d unsuppressed"
-                   s_active
-                   (List.length (active r)))
-            else if exit_code r <> s_exit then
-              fail
-                (Printf.sprintf "summary.exit_code is %d but findings imply %d" s_exit
-                   (exit_code r))
-            else Ok r))
+let to_json = Codec.to_json document
+let of_json = Codec.of_json document
 
 (* ------------------------------------------------------------------ *)
 (* Renderings                                                          *)

@@ -524,3 +524,97 @@ let prometheus_gauges t =
       (float_of_int g.g_heap_words)
   | _ -> ());
   Buffer.contents b
+
+(* ------------------------------------------------------------------ *)
+(* JSON shapes                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The update and GC members are declared once: the postmortem's
+   "updates" / "gc" objects add the two cumulative totals, the
+   /updates.json and /scaling.json windows carry the rest flat. *)
+let update_members =
+  Codec.(
+    obj (fun u_inserts u_deletes ups u_pubs pubs_per_s u_cells write_amp rebuild_p50_ns
+             rebuild_p99_ns u_epoch u_retired u_reader_lag ->
+        { u_inserts; u_deletes; ups; u_pubs; pubs_per_s; u_cells; write_amp; rebuild_p50_ns;
+          rebuild_p99_ns; u_epoch; u_retired; u_reader_lag; cum_updates = 0; cum_cells = 0 })
+    |> field "inserts" (fun u -> u.u_inserts) int
+    |> field "deletes" (fun u -> u.u_deletes) int
+    |> field "ups" (fun u -> u.ups) float
+    |> field "publications" (fun u -> u.u_pubs) int
+    |> field "pubs_per_s" (fun u -> u.pubs_per_s) float
+    |> field "cells_written" (fun u -> u.u_cells) int
+    |> field "write_amp" (fun u -> u.write_amp) float
+    |> field "rebuild_p50_ns" (fun u -> u.rebuild_p50_ns) float
+    |> field "rebuild_p99_ns" (fun u -> u.rebuild_p99_ns) float
+    |> field "epoch" (fun u -> u.u_epoch) int
+    |> field "retired_pending" (fun u -> u.u_retired) int
+    |> field "reader_lag" (fun u -> u.u_reader_lag) int
+    |> seal)
+
+let gc_members =
+  Codec.(
+    obj (fun g_minor_words g_promoted_words g_major_words g_minor_collections
+             g_major_collections alloc_per_query g_heap_words ->
+        { g_minor_words; g_promoted_words; g_major_words; g_minor_collections;
+          g_major_collections; alloc_per_query; g_heap_words; cum_minor_words = 0;
+          cum_major_collections = 0 })
+    |> field "minor_words" (fun g -> g.g_minor_words) int
+    |> field "promoted_words" (fun g -> g.g_promoted_words) int
+    |> field "major_words" (fun g -> g.g_major_words) int
+    |> field "minor_collections" (fun g -> g.g_minor_collections) int
+    |> field "major_collections" (fun g -> g.g_major_collections) int
+    |> field "alloc_per_query" (fun g -> g.alloc_per_query) float
+    |> field "heap_words" (fun g -> g.g_heap_words) int
+    |> seal)
+
+let codec =
+  let uentry =
+    Codec.(
+      obj (fun u cum_updates cum_cells -> { u with cum_updates; cum_cells })
+      |> inline Fun.id update_members
+      |> field "cum_updates" (fun u -> u.cum_updates) int
+      |> field "cum_cells" (fun u -> u.cum_cells) int
+      |> seal)
+  in
+  let gentry =
+    Codec.(
+      obj (fun g cum_minor_words cum_major_collections ->
+          { g with cum_minor_words; cum_major_collections })
+      |> inline Fun.id gc_members
+      |> field "cum_minor_words" (fun g -> g.cum_minor_words) int
+      |> field "cum_major_collections" (fun g -> g.cum_major_collections) int
+      |> seal)
+  in
+  let cell =
+    Codec.(
+      conv
+        (fun (c : Heavy.entry) -> (c.item, c.count, c.err))
+        (fun (item, count, err) -> { Heavy.item; count; err })
+        (triple int int int))
+  in
+  Codec.(
+    obj (fun updates gc index t_start_s t_end_s queries probes qps probes_per_s p50_ns p99_ns
+             top_cells max_cell max_share hotspot_ratio alert cum_queries cum_probes ->
+        { index; t_start_s; t_end_s; queries; probes; qps; probes_per_s; p50_ns; p99_ns;
+          top_cells; max_cell; max_share; hotspot_ratio; alert; cum_queries; cum_probes;
+          updates; gc })
+    |> opt "updates" (fun e -> e.updates) uentry
+    |> opt "gc" (fun e -> e.gc) gentry
+    |> field "index" (fun e -> e.index) int
+    |> field "t_start_s" (fun e -> e.t_start_s) float
+    |> field "t_end_s" (fun e -> e.t_end_s) float
+    |> field "queries" (fun e -> e.queries) int
+    |> field "probes" (fun e -> e.probes) int
+    |> field "qps" (fun e -> e.qps) float
+    |> field "probes_per_s" (fun e -> e.probes_per_s) float
+    |> field "p50_ns" (fun e -> e.p50_ns) float
+    |> field "p99_ns" (fun e -> e.p99_ns) float
+    |> field "top_cells" (fun e -> e.top_cells) (list cell)
+    |> field "max_cell" (fun e -> e.max_cell) int
+    |> field "max_share" (fun e -> e.max_share) float
+    |> field "hotspot_ratio" (fun e -> e.hotspot_ratio) float
+    |> field "alert" (fun e -> e.alert) bool
+    |> field "cum_queries" (fun e -> e.cum_queries) int
+    |> field "cum_probes" (fun e -> e.cum_probes) int
+    |> seal)

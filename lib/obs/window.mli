@@ -218,3 +218,18 @@ val prometheus_gauges : t -> string
     [engine_window_minor_words], [engine_window_promoted_words],
     [engine_window_minor_collections], [engine_window_major_collections]
     and [engine_gc_heap_words]. *)
+
+(** {2 JSON shapes} *)
+
+val codec : entry Codec.t
+(** A window as a postmortem dump stores it: the optional [updates] and
+    [gc] objects first, then every read-side field. *)
+
+val update_members : uentry Codec.t
+(** The update members of one [/updates.json] window: every field but
+    the cumulative [cum_updates] and [cum_cells], which decode as 0. *)
+
+val gc_members : gentry Codec.t
+(** The GC members of one [/scaling.json] window: every field but the
+    cumulative [cum_minor_words] and [cum_major_collections], which
+    decode as 0. *)

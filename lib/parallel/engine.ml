@@ -626,27 +626,33 @@ module Monitor = struct
     ^ Window.prometheus_gauges t.window
     ^ control_gauges t
 
-  (* The co-heat JSON object shared by /cells.json and /scaling.json:
+  module Codec = Lc_obs.Codec
+
+  (* The co-heat object shared by /cells.json and /scaling.json:
      per-cell tallies bucketed into cache-line groups (see
-     {!Lc_analysis.Coheat}), or [Null] when the run keeps no live
-     per-cell counters (dynamic workloads, or before a serve starts). *)
-  let coheat_json counts_opt =
-    let module J = Lc_obs.Json in
-    match counts_opt with
-    | None -> J.Null
-    | Some counts ->
-      let ch = Coheat.of_counts counts in
-      J.Obj
-        [
-          ("line_cells", J.Int ch.Coheat.line_cells);
-          ("lines", J.Int ch.Coheat.lines);
-          ("total_probes", J.Int ch.Coheat.total);
-          ("ratio", J.Float ch.Coheat.ratio);
-          ("uniform_bound", J.Float (Coheat.uniform_bound ch));
-          ("hottest_line", J.Int ch.Coheat.hottest_line);
-          ("hottest_line_heat", J.Int ch.Coheat.hottest_line_heat);
-          ("hottest_line_share", J.Float ch.Coheat.hottest_line_share);
-        ]
+     {!Lc_analysis.Coheat}), or null when the run keeps no live per-cell
+     counters (dynamic workloads, or before a serve starts). The
+     per-line heats are not served, and [uniform_bound] follows from
+     [line_cells]: both are dropped on decode. *)
+  let coheat_codec =
+    Codec.(
+      nullable
+        (obj (fun line_cells lines total ratio _uniform_bound hottest_line hottest_line_heat
+                  hottest_line_share ->
+             { Coheat.line_cells; lines; total; ratio; heats = [||]; hottest_line;
+               hottest_line_heat; hottest_line_share })
+        |> field "line_cells" (fun c -> c.Coheat.line_cells) int
+        |> field "lines" (fun c -> c.Coheat.lines) int
+        |> field "total_probes" (fun c -> c.Coheat.total) int
+        |> field "ratio" (fun c -> c.Coheat.ratio) float
+        |> field "uniform_bound" Coheat.uniform_bound float
+        |> field "hottest_line" (fun c -> c.Coheat.hottest_line) int
+        |> field "hottest_line_heat" (fun c -> c.Coheat.hottest_line_heat) int
+        |> field "hottest_line_share" (fun c -> c.Coheat.hottest_line_share) float
+        |> seal
+        |> check (fun c ->
+               if c.Coheat.ratio < 0.0 || c.Coheat.ratio >= 1.0 then Error "ratio out of [0, 1)"
+               else Ok ())))
 
   (* Racy reads of the workers' plain ints: no value tears, but a scrape
      may miss stores still in flight. Once the workers have joined and
@@ -674,7 +680,7 @@ module Monitor = struct
          [
            ("total_observed", Lc_obs.Json.Int cells.Heavy.total_observed);
            ("error_bound", Lc_obs.Json.Int cells.Heavy.error_bound);
-           ("coheat", coheat_json exact_counts);
+           ("coheat", Codec.encode coheat_codec (Option.map Coheat.of_counts exact_counts));
            ( "top",
              Lc_obs.Json.List
                (List.map
@@ -731,75 +737,99 @@ module Monitor = struct
   let updates_schema_name = "lowcon-updates"
   let updates_schema_version = 1
 
+  type update_totals = {
+    inserts : int;
+    deletes : int;
+    publications : int;
+    reclaimed : int;
+    cells_written : int;
+    write_amp : float;
+    epoch : int;
+    retired_pending : int;
+    reader_lag : int;
+  }
+
+  type updates = {
+    seen : bool;
+    cumulative : update_totals option;
+    uwindows : (int * float * float * Window.uentry) list;
+  }
+
+  let updates_document =
+    Codec.(
+      document ~name:updates_schema_name ~version:updates_schema_version
+        ~summary:(fun u ->
+          Printf.sprintf "%s, %d update window(s)"
+            (if u.seen then "updates seen" else "no updates (static run)")
+            (List.length u.uwindows))
+        (obj (fun seen cumulative uwindows -> { seen; cumulative; uwindows })
+        |> field "updates_seen" (fun u -> u.seen) bool
+        |> field "cumulative" (fun u -> u.cumulative)
+             (nullable
+                (obj (fun inserts deletes publications reclaimed cells_written write_amp epoch
+                          retired_pending reader_lag ->
+                     { inserts; deletes; publications; reclaimed; cells_written; write_amp; epoch;
+                       retired_pending; reader_lag })
+                |> field "inserts" (fun c -> c.inserts) int
+                |> field "deletes" (fun c -> c.deletes) int
+                |> field "publications" (fun c -> c.publications) int
+                |> field "reclaimed" (fun c -> c.reclaimed) int
+                |> field "cells_written" (fun c -> c.cells_written) int
+                |> field "write_amp" (fun c -> c.write_amp) float
+                |> field "epoch" (fun c -> c.epoch) int
+                |> field "retired_pending" (fun c -> c.retired_pending) int
+                |> field "reader_lag" (fun c -> c.reader_lag) int
+                |> seal))
+        |> field "windows" (fun u -> u.uwindows)
+             (list
+                (obj (fun i t0 t1 u -> (i, t0, t1, u))
+                |> field "index" (fun (i, _, _, _) -> i) int
+                |> field "t_start_s" (fun (_, t0, _, _) -> t0) float
+                |> field "t_end_s" (fun (_, _, t1, _) -> t1) float
+                |> inline (fun (_, _, _, u) -> u) Window.update_members
+                |> seal))
+        |> seal
+        |> check (fun u ->
+               match (u.seen, u.cumulative) with
+               | false, Some _ -> Error "\"cumulative\" must be null when updates_seen is false"
+               | true, None -> Error "\"cumulative\" must be an object when updates_seen is true"
+               | _ -> Ok ())))
+
   let updates_body t =
-    let module J = Lc_obs.Json in
     let snap = Window.live_snapshot t.window in
     let n = update_metric_names in
     let c name = Option.value ~default:0 (Metrics.Snapshot.counter_value snap name) in
-    let g name =
-      match Metrics.Snapshot.gauge_value snap name with
-      | None -> 0
-      | Some v -> int_of_float v
-    in
+    let g name = Option.fold ~none:0 ~some:int_of_float (Metrics.Snapshot.gauge_value snap name) in
     let inserts = c n.Window.inserts_counter in
     let deletes = c n.Window.deletes_counter in
-    let pubs = c n.Window.publications_counter in
-    let cells = c n.Window.cells_counter in
-    let active = inserts + deletes + pubs > 0 in
-    let cumulative =
-      if not active then J.Null
-      else
-        J.Obj
-          [
-            ("inserts", J.Int inserts);
-            ("deletes", J.Int deletes);
-            ("publications", J.Int pubs);
-            ("reclaimed", J.Int (c "engine_reclaimed_total"));
-            ("cells_written", J.Int cells);
-            ( "write_amp",
-              J.Float
-                (if inserts > 0 then float_of_int cells /. float_of_int inserts else 0.0) );
-            ("epoch", J.Int (g n.Window.epoch_gauge));
-            ("retired_pending", J.Int (g n.Window.retired_gauge));
-            ("reader_lag", J.Int (g n.Window.reader_lag_gauge));
-          ]
+    let publications = c n.Window.publications_counter in
+    let cells_written = c n.Window.cells_counter in
+    let seen = inserts + deletes + publications > 0 in
+    let totals =
+      {
+        inserts;
+        deletes;
+        publications;
+        reclaimed = c "engine_reclaimed_total";
+        cells_written;
+        write_amp =
+          (if inserts > 0 then float_of_int cells_written /. float_of_int inserts else 0.0);
+        epoch = g n.Window.epoch_gauge;
+        retired_pending = g n.Window.retired_gauge;
+        reader_lag = g n.Window.reader_lag_gauge;
+      }
     in
-    let uwindows =
-      List.filter_map
-        (fun (e : Window.entry) ->
-          match e.Window.updates with
-          | None -> None
-          | Some u ->
-            Some
-              (J.Obj
-                 [
-                   ("index", J.Int e.Window.index);
-                   ("t_start_s", J.Float e.Window.t_start_s);
-                   ("t_end_s", J.Float e.Window.t_end_s);
-                   ("inserts", J.Int u.Window.u_inserts);
-                   ("deletes", J.Int u.Window.u_deletes);
-                   ("ups", J.Float u.Window.ups);
-                   ("publications", J.Int u.Window.u_pubs);
-                   ("pubs_per_s", J.Float u.Window.pubs_per_s);
-                   ("cells_written", J.Int u.Window.u_cells);
-                   ("write_amp", J.Float u.Window.write_amp);
-                   ("rebuild_p50_ns", J.Float u.Window.rebuild_p50_ns);
-                   ("rebuild_p99_ns", J.Float u.Window.rebuild_p99_ns);
-                   ("epoch", J.Int u.Window.u_epoch);
-                   ("retired_pending", J.Int u.Window.u_retired);
-                   ("reader_lag", J.Int u.Window.u_reader_lag);
-                 ]))
-        (Window.entries t.window)
+    let window (e : Window.entry) =
+      Option.map
+        (fun u -> (e.Window.index, e.Window.t_start_s, e.Window.t_end_s, u))
+        e.Window.updates
     in
-    J.to_string
-      (J.Obj
-         [
-           ("schema", J.String updates_schema_name);
-           ("version", J.Int updates_schema_version);
-           ("updates_seen", J.Bool active);
-           ("cumulative", cumulative);
-           ("windows", J.List uwindows);
-         ])
+    Codec.to_string updates_document
+      {
+        seen;
+        cumulative = (if seen then Some totals else None);
+        uwindows = List.filter_map window (Window.entries t.window);
+      }
 
   (* /scaling.json: the scaling observatory's live view — cumulative
      per-phase time attribution, GC/allocation counters, the windowed GC
@@ -811,58 +841,77 @@ module Monitor = struct
   let scaling_schema_name = "lowcon-scaling-live"
   let scaling_schema_version = 1
 
+  type scaling = {
+    sc_domains : int;
+    phases : int list;  (* ns per phase, in [phase_counter_names] order *)
+    gc : int * int * int * (int * float * float * int * Window.gentry) list;
+        (* minor, promoted and major words, then the GC windows *)
+    coheat : Coheat.t option;
+  }
+
+  (* The attribution invariant: the five in-wall phases sum to wall. *)
+  let phases_codec =
+    Codec.(
+      keyed (List.map (fun (phase, _) -> phase ^ "_ns") phase_counter_names) int
+      |> check (fun ns ->
+             let ns = List.combine (List.map fst phase_counter_names) ns in
+             let v phase = List.assoc phase ns in
+             let parts = v "probe" + v "tally" + v "publish" + v "pin" + v "other" in
+             if parts = v "wall" then Ok ()
+             else
+               Error
+                 (Printf.sprintf
+                    "phases sum to %d ns but wall is %d ns — attribution does not reconcile"
+                    parts (v "wall"))))
+
+  let scaling_document =
+    Codec.(
+      document ~name:scaling_schema_name ~version:scaling_schema_version
+        ~summary:(fun s ->
+          let _, _, _, windows = s.gc in
+          Printf.sprintf "%d domain(s), %d GC window(s)" s.sc_domains (List.length windows))
+        (obj (fun sc_domains phases gc coheat -> { sc_domains; phases; gc; coheat })
+        |> field "domains" (fun s -> s.sc_domains) int
+        |> field "phases" (fun s -> s.phases) phases_codec
+        |> field "gc" (fun s -> s.gc)
+             (obj (fun minor promoted major windows -> (minor, promoted, major, windows))
+             |> field "minor_words" (fun (m, _, _, _) -> m) int
+             |> field "promoted_words" (fun (_, p, _, _) -> p) int
+             |> field "major_words" (fun (_, _, m, _) -> m) int
+             |> field "windows" (fun (_, _, _, ws) -> ws)
+                  (list
+                     (obj (fun i t0 t1 q g -> (i, t0, t1, q, g))
+                     |> field "index" (fun (i, _, _, _, _) -> i) int
+                     |> field "t_start_s" (fun (_, t0, _, _, _) -> t0) float
+                     |> field "t_end_s" (fun (_, _, t1, _, _) -> t1) float
+                     |> field "queries" (fun (_, _, _, q, _) -> q) int
+                     |> inline (fun (_, _, _, _, g) -> g) Window.gc_members
+                     |> seal))
+             |> seal)
+        |> field "coheat" (fun s -> s.coheat) coheat_codec
+        |> seal))
+
   let scaling_body t =
-    let module J = Lc_obs.Json in
     let snap = Window.live_snapshot t.window in
     let c name = Option.value ~default:0 (Metrics.Snapshot.counter_value snap name) in
-    let phases =
-      J.Obj
-        (List.map (fun (phase, counter) -> (phase ^ "_ns", J.Int (c counter)))
-           phase_counter_names)
-    in
     let gn = gc_metric_names in
-    let gwindows =
-      List.filter_map
-        (fun (e : Window.entry) ->
-          match e.Window.gc with
-          | None -> None
-          | Some g ->
-            Some
-              (J.Obj
-                 [
-                   ("index", J.Int e.Window.index);
-                   ("t_start_s", J.Float e.Window.t_start_s);
-                   ("t_end_s", J.Float e.Window.t_end_s);
-                   ("queries", J.Int e.Window.queries);
-                   ("minor_words", J.Int g.Window.g_minor_words);
-                   ("promoted_words", J.Int g.Window.g_promoted_words);
-                   ("major_words", J.Int g.Window.g_major_words);
-                   ("minor_collections", J.Int g.Window.g_minor_collections);
-                   ("major_collections", J.Int g.Window.g_major_collections);
-                   ("alloc_per_query", J.Float g.Window.alloc_per_query);
-                   ("heap_words", J.Int g.Window.g_heap_words);
-                 ]))
-        (Window.entries t.window)
-    in
-    let gc =
-      J.Obj
-        [
-          ("minor_words", J.Int (c gn.Window.minor_words_counter));
-          ("promoted_words", J.Int (c gn.Window.promoted_words_counter));
-          ("major_words", J.Int (c gn.Window.major_words_counter));
-          ("windows", J.List gwindows);
-        ]
-    in
-    J.to_string
-      (J.Obj
-         [
-           ("schema", J.String scaling_schema_name);
-           ("version", J.Int scaling_schema_version);
-           ("domains", J.Int t.domains);
-           ("phases", phases);
-           ("gc", gc);
-           ("coheat", coheat_json (live_count_values t));
-         ])
+    Codec.to_string scaling_document
+      {
+        sc_domains = t.domains;
+        phases = List.map (fun (_, counter) -> c counter) phase_counter_names;
+        gc =
+          ( c gn.Window.minor_words_counter,
+            c gn.Window.promoted_words_counter,
+            c gn.Window.major_words_counter,
+            List.filter_map
+              (fun (e : Window.entry) ->
+                Option.map
+                  (fun g ->
+                    (e.Window.index, e.Window.t_start_s, e.Window.t_end_s, e.Window.queries, g))
+                  e.Window.gc)
+              (Window.entries t.window) );
+        coheat = Option.map Coheat.of_counts (live_count_values t);
+      }
 
   (* /control.json: the controller's sense→decide→act state, schema-
      versioned ("lowcon-control" v1) so `lowcon validate` can check a
@@ -873,74 +922,89 @@ module Monitor = struct
   let control_schema_name = "lowcon-control"
   let control_schema_version = 1
 
-  let control_body t =
-    let module J = Lc_obs.Json in
-    let module C = Lc_control.Controller in
-    let header =
-      [
-        ("schema", J.String control_schema_name);
-        ("version", J.Int control_schema_version);
-      ]
-    in
-    match t.controller with
-    | None -> J.to_string (J.Obj (header @ [ ("attached", J.Bool false) ]))
-    | Some ctl ->
-      let pc = C.policy_config ctl in
-      let decision (d : C.decision) =
-        J.Obj
-          [
-            ("id", J.Int d.C.d_id);
-            ("window", J.Int d.C.d_window);
-            ("ratio", J.Float d.C.d_ratio);
-            ("cell", J.Int d.C.d_cell);
-            ("count", J.Int d.C.d_count);
-            ("err", J.Int d.C.d_err);
-            ("score", J.Int d.C.d_score);
-            ("action", J.String (match d.C.d_action with `Raise -> "raise" | `Lower -> "lower"));
-            ("old_boost", J.Int d.C.d_old_boost);
-            ("new_boost", J.Int d.C.d_new_boost);
-            ("cooldown", J.Int d.C.d_cooldown);
-          ]
-      in
-      J.to_string
-        (J.Obj
-           (header
-           @ [
-               ("attached", J.Bool true);
-               ( "boost",
-                 J.Obj
-                   [
-                     ("base", J.Int (C.base_boost ctl));
-                     ("target", J.Int (C.target_boost ctl));
-                     ("applied", J.Int (C.applied_boost ctl));
-                   ] );
-               ( "policy",
-                 J.Obj
-                   [
-                     ("high_ratio", J.Float pc.Lc_control.Policy.high_ratio);
-                     ("low_ratio", J.Float pc.Lc_control.Policy.low_ratio);
-                     ("hot_contrib", J.Int pc.Lc_control.Policy.hot_contrib);
-                     ("cool_contrib", J.Int pc.Lc_control.Policy.cool_contrib);
-                     ("high_threshold", J.Int pc.Lc_control.Policy.high_threshold);
-                     ("low_threshold", J.Int pc.Lc_control.Policy.low_threshold);
-                     ("cooldown_windows", J.Int pc.Lc_control.Policy.cooldown_windows);
-                     ("min_boost", J.Int pc.Lc_control.Policy.min_boost);
-                     ("max_boost", J.Int pc.Lc_control.Policy.max_boost);
-                     ("step", J.Int pc.Lc_control.Policy.step);
-                   ] );
-               ( "state",
-                 J.Obj
-                   [
-                     ("score", J.Int (C.score ctl));
-                     ("cooldown", J.Int (C.cooldown ctl));
-                     ("windows_seen", J.Int (C.windows_seen ctl));
-                     ("last_ratio", J.Float (C.last_ratio ctl));
-                   ] );
-               ("decisions_total", J.Int (C.decisions_total ctl));
-               ("decisions", J.List (List.map decision (C.decisions ctl)));
-             ]))
+  type control = {
+    boost : int * int * int;  (* base, target, applied *)
+    policy : Lc_control.Policy.config;
+    state : int * int * int * float;  (* score, cooldown, windows seen, last ratio *)
+    decisions_total : int;
+    decisions : Lc_control.Controller.decision list;
+  }
 
-  let control_json = control_body
+  (* Beyond shape, the decision log's own invariants: ids are 1..N with
+     N = decisions_total, every boost is a power of two inside the
+     policy's [min, max] band, and consecutive decisions chain from the
+     base boost (each old_boost is the previous new_boost) — the same
+     reconciliation the postmortem replay performs against the
+     journal. *)
+  let check_control c =
+    let module C = Lc_control.Controller in
+    let base, _, _ = c.boost in
+    let lo = c.policy.Lc_control.Policy.min_boost and hi = c.policy.Lc_control.Policy.max_boost in
+    let pow2 b = b > 0 && b land (b - 1) = 0 in
+    let rec chain id boost = function
+      | [] -> Ok ()
+      | (d : C.decision) :: rest ->
+        if d.C.d_id <> id then
+          Error (Printf.sprintf "decision ids not consecutive: expected %d, got %d" id d.C.d_id)
+        else if not (pow2 d.C.d_old_boost && pow2 d.C.d_new_boost && d.C.d_new_boost >= lo
+                     && d.C.d_new_boost <= hi)
+        then
+          Error
+            (Printf.sprintf "decision %d: boost %d -> %d outside the power-of-two [%d, %d] band"
+               id d.C.d_old_boost d.C.d_new_boost lo hi)
+        else if d.C.d_old_boost <> boost then
+          Error
+            (Printf.sprintf "decision %d: old_boost %d does not chain from %d" id
+               d.C.d_old_boost boost)
+        else chain (id + 1) d.C.d_new_boost rest
+    in
+    let listed = List.length c.decisions in
+    if listed <> c.decisions_total then
+      Error
+        (Printf.sprintf "decisions_total is %d but %d decision(s) listed" c.decisions_total listed)
+    else chain 1 base c.decisions
+
+  let control_document =
+    Codec.(
+      document ~name:control_schema_name ~version:control_schema_version
+        ~summary:(function
+          | Some c -> Printf.sprintf "%d decision(s), chain reconciled" c.decisions_total
+          | None -> "no controller attached")
+        (flagged "attached"
+           (obj (fun boost policy state decisions_total decisions ->
+                { boost; policy; state; decisions_total; decisions })
+           |> field "boost" (fun c -> c.boost)
+                (obj (fun base target applied -> (base, target, applied))
+                |> field "base" (fun (b, _, _) -> b) int
+                |> field "target" (fun (_, t, _) -> t) int
+                |> field "applied" (fun (_, _, a) -> a) int
+                |> seal)
+           |> field "policy" (fun c -> c.policy) Lc_control.Policy.codec
+           |> field "state" (fun c -> c.state)
+                (obj (fun score cooldown seen last -> (score, cooldown, seen, last))
+                |> field "score" (fun (s, _, _, _) -> s) int
+                |> field "cooldown" (fun (_, c, _, _) -> c) int
+                |> field "windows_seen" (fun (_, _, w, _) -> w) int
+                |> field "last_ratio" (fun (_, _, _, r) -> r) float
+                |> seal)
+           |> field "decisions_total" (fun c -> c.decisions_total) int
+           |> field "decisions" (fun c -> c.decisions) (list Lc_control.Controller.decision_codec)
+           |> seal
+           |> check check_control)))
+
+  let control_json t =
+    let module C = Lc_control.Controller in
+    Codec.to_string control_document
+      (Option.map
+         (fun ctl ->
+           {
+             boost = (C.base_boost ctl, C.target_boost ctl, C.applied_boost ctl);
+             policy = C.policy_config ctl;
+             state = (C.score ctl, C.cooldown ctl, C.windows_seen ctl, C.last_ratio ctl);
+             decisions_total = C.decisions_total ctl;
+             decisions = C.decisions ctl;
+           })
+         t.controller)
 
   let routes t : Http.route list =
     [
@@ -951,7 +1015,7 @@ module Monitor = struct
       ("/windows.json", fun () -> Http.json (windows_body t));
       ("/updates.json", fun () -> Http.json (updates_body t));
       ("/scaling.json", fun () -> Http.json (scaling_body t));
-      ("/control.json", fun () -> Http.json (control_body t));
+      ("/control.json", fun () -> Http.json (control_json t));
       ("/healthz", fun () -> Http.text "ok\n");
     ]
 end

@@ -244,6 +244,13 @@ module Monitor : sig
 
   val updates_schema_version : int
 
+  type updates
+  (** A decoded [/updates.json] document. *)
+
+  val updates_document : updates Lc_obs.Codec.document
+  (** Decoding checks that [cumulative] is null exactly when
+      [updates_seen] is false. *)
+
   val scaling_schema_name : string
   (** ["lowcon-scaling-live"] — the [/scaling.json] document's schema.
       Distinct from the offline ["lowcon-scaling"] artifact written by
@@ -252,6 +259,14 @@ module Monitor : sig
 
   val scaling_schema_version : int
 
+  type scaling
+  (** A decoded [/scaling.json] document. *)
+
+  val scaling_document : scaling Lc_obs.Codec.document
+  (** Decoding checks the phase identity over {!phase_counter_names}
+      (the five in-wall phases sum to [wall_ns]) and that the co-heat
+      ratio is at least 0 and below 1. *)
+
   val control_schema_name : string
   (** ["lowcon-control"] — the [/control.json] document's schema:
       the controller's policy, live hysteresis state and full decision
@@ -259,6 +274,15 @@ module Monitor : sig
       [Control_decision] events. *)
 
   val control_schema_version : int
+
+  type control
+  (** A decoded [/control.json] document of an attached controller. *)
+
+  val control_document : control option Lc_obs.Codec.document
+  (** [None] when no controller is attached. Decoding checks the
+      decision log: ids are 1..N with N = [decisions_total], every boost
+      is a power of two between the policy's [min_boost] and
+      [max_boost], and each decision chains from [boost.base]. *)
 
   val control_json : t -> string
   (** The [/control.json] body, also available without an HTTP server —

@@ -6,7 +6,7 @@
    with a typed error instead of emitting nulls, and the reader
    validates schema name and version before believing a single field. *)
 
-module Json = Lc_obs.Json
+module Codec = Lc_obs.Codec
 
 let schema_name = "lowcon-bench"
 let schema_version = 1
@@ -48,16 +48,7 @@ type t = { fingerprint : fingerprint; entries : entry list }
 
 (* ---------------- fingerprinting ---------------- *)
 
-let read_file_opt path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match really_input_string ic (in_channel_length ic) with
-        | s -> Some s
-        | exception End_of_file -> None)
+let read_file_opt path = Result.to_option (Codec.read_file path)
 
 (* Resolve HEAD by hand (no git subprocess): follow the symbolic ref to
    its loose file, fall back to packed-refs, then to "unknown" — an
@@ -121,237 +112,87 @@ let fingerprint ~seed =
     created_unix = Unix.time ();
   }
 
-(* ---------------- encoding ---------------- *)
+(* ---------------- the document ---------------- *)
 
-let json_of_ci c =
-  Json.Obj
-    [
-      ("mean", Json.Float c.mean);
-      ("lo", Json.Float c.lo);
-      ("hi", Json.Float c.hi);
-      ("samples", Json.List (List.map (fun s -> Json.Float s) c.samples));
-    ]
+let ci_codec =
+  Codec.(
+    obj (fun mean lo hi samples -> { mean; lo; hi; samples })
+    |> field "mean" (fun c -> c.mean) float
+    |> field "lo" (fun c -> c.lo) float
+    |> field "hi" (fun c -> c.hi) float
+    |> field "samples" (fun c -> c.samples) (list float)
+    |> seal
+    |> check (fun c ->
+           if c.samples = [] then Error "samples must be non-empty"
+           else if c.lo > c.hi then Error "confidence interval has lo > hi"
+           else Ok ()))
 
-let json_of_entry e =
-  (* The update-path fields are written only for configurations that
-     exercised the update path, so artifacts from older suites (and
-     read-only configurations) stay byte-compatible. *)
-  let update_fields =
-    (match e.ns_per_update with
-    | Some c -> [ ("ns_per_update", json_of_ci c) ]
-    | None -> [])
-    @ match e.write_amp with Some w -> [ ("write_amp", Json.Float w) ] | None -> []
-  in
-  (* GC fields follow the same optionality discipline: suites measure
-     them, hand-built or pre-observatory entries may not. *)
-  let gc_fields =
-    (match e.minor_words_per_query with
-    | Some w -> [ ("minor_words_per_query", Json.Float w) ]
-    | None -> [])
-    @
-    match e.major_collections with
-    | Some c -> [ ("major_collections", Json.Int c) ]
-    | None -> []
-  in
-  Json.Obj
-    ([
-       ("structure", Json.String e.structure);
-       ("workload", Json.String e.workload);
-       ("domains", Json.Int e.domains);
-       ("queries_per_domain", Json.Int e.queries_per_domain);
-       ("trials", Json.Int e.trials);
-       ("ns_per_query", json_of_ci e.ns_per_query);
-       ("probes_per_query", json_of_ci e.probes_per_query);
-       ("p50_ns", Json.Float e.p50_ns);
-       ("p99_ns", Json.Float e.p99_ns);
-       ("hotspot_ratio", Json.Float e.hotspot_ratio);
-       ("queries", Json.Int e.queries);
-       ("probes", Json.Int e.probes);
-     ]
-    @ update_fields @ gc_fields)
+(* The update-path and GC fields are written only for configurations
+   that measured them, so artifacts from older suites (and read-only
+   configurations) stay byte-compatible. *)
+let entry_codec =
+  Codec.(
+    obj (fun structure workload domains queries_per_domain trials ns_per_query probes_per_query
+             p50_ns p99_ns hotspot_ratio queries probes ns_per_update write_amp
+             minor_words_per_query major_collections ->
+        { structure; workload; domains; queries_per_domain; trials; ns_per_query;
+          probes_per_query; p50_ns; p99_ns; hotspot_ratio; queries; probes; ns_per_update;
+          write_amp; minor_words_per_query; major_collections })
+    |> field "structure" (fun e -> e.structure) string
+    |> field "workload" (fun e -> e.workload) string
+    |> field "domains" (fun e -> e.domains) int
+    |> field "queries_per_domain" (fun e -> e.queries_per_domain) int
+    |> field "trials" (fun e -> e.trials) int
+    |> field "ns_per_query" (fun e -> e.ns_per_query) ci_codec
+    |> field "probes_per_query" (fun e -> e.probes_per_query) ci_codec
+    |> field "p50_ns" (fun e -> e.p50_ns) float
+    |> field "p99_ns" (fun e -> e.p99_ns) float
+    |> field "hotspot_ratio" (fun e -> e.hotspot_ratio) float
+    |> field "queries" (fun e -> e.queries) int
+    |> field "probes" (fun e -> e.probes) int
+    |> opt "ns_per_update" (fun e -> e.ns_per_update) ci_codec
+    |> opt "write_amp" (fun e -> e.write_amp) float
+    |> opt "minor_words_per_query" (fun e -> e.minor_words_per_query) float
+    |> opt "major_collections" (fun e -> e.major_collections) int
+    |> seal
+    |> check (fun e ->
+           if e.domains < 1 then Error "domains must be >= 1"
+           else if e.trials < 1 then Error "trials must be >= 1"
+           else Ok ()))
 
-let json_of_fingerprint f =
-  Json.Obj
-    [
-      ("ocaml_version", Json.String f.ocaml_version);
-      ("os_type", Json.String f.os_type);
-      ("word_size", Json.Int f.word_size);
-      ("cores", Json.Int f.cores);
-      ("git_rev", Json.String f.git_rev);
-      ("seed", Json.Int f.seed);
-      ("clock_overhead_ns", Json.Float f.clock_overhead_ns);
-      ("probe_sample_period", Json.Int f.probe_sample_period);
-      ("created_unix", Json.Float f.created_unix);
-    ]
+let fingerprint_codec =
+  Codec.(
+    obj (fun ocaml_version os_type word_size cores git_rev seed clock_overhead_ns
+             probe_sample_period created_unix ->
+        { ocaml_version; os_type; word_size; cores; git_rev; seed; clock_overhead_ns;
+          probe_sample_period; created_unix })
+    |> field "ocaml_version" (fun f -> f.ocaml_version) string
+    |> field "os_type" (fun f -> f.os_type) string
+    |> field "word_size" (fun f -> f.word_size) int
+    |> field "cores" (fun f -> f.cores) int
+    |> field "git_rev" (fun f -> f.git_rev) string
+    |> field "seed" (fun f -> f.seed) int
+    |> field "clock_overhead_ns" (fun f -> f.clock_overhead_ns) float
+    |> field "probe_sample_period" (fun f -> f.probe_sample_period) int
+    |> field "created_unix" (fun f -> f.created_unix) float
+    |> seal)
 
-let to_json t =
-  Json.Obj
-    [
-      ("schema", Json.String schema_name);
-      ("version", Json.Int schema_version);
-      ("fingerprint", json_of_fingerprint t.fingerprint);
-      ("entries", Json.List (List.map json_of_entry t.entries));
-    ]
+let document =
+  Codec.(
+    document ~name:schema_name ~version:schema_version
+      ~summary:(fun t ->
+        Printf.sprintf "%d entries, seed %d" (List.length t.entries) t.fingerprint.seed)
+      (obj (fun fingerprint entries -> { fingerprint; entries })
+      |> field "fingerprint" (fun t -> t.fingerprint) fingerprint_codec
+      |> field "entries" (fun t -> t.entries) (list entry_codec)
+      |> seal
+      |> check (fun t -> if t.entries = [] then Error "entries must be non-empty" else Ok ())))
 
-let to_string t =
-  match Json.to_string_strict (to_json t) with
-  | Ok s -> s
-  | Error { Json.path; value } ->
-    failwith
-      (Printf.sprintf "Artifact.to_string: non-finite value %h at %s — refusing to write" value
-         path)
+let to_string = Codec.to_string_strict document
+let of_string = Codec.of_string document
+let load = Codec.load document
+let write = Codec.write document
 
-(* ---------------- decoding ---------------- *)
-
-let ( let* ) = Result.bind
-let field = Jsonu.field
-let str_field = Jsonu.str_field
-let int_field = Jsonu.int_field
-let float_field = Jsonu.float_field
-let in_context = Jsonu.in_context
-
-let ci_of_json name j =
-  in_context name
-  @@ let* v = field name j in
-     let* mean = float_field "mean" v in
-     let* lo = float_field "lo" v in
-     let* hi = float_field "hi" v in
-     let* samples_j = field "samples" v in
-     let* samples =
-       List.fold_right
-         (fun s acc ->
-           let* acc = acc in
-           match Json.float_value s with
-           | Some f -> Ok (f :: acc)
-           | None -> Error "field \"samples\": expected numbers")
-         (Json.to_list samples_j) (Ok [])
-     in
-     if samples = [] then Error "field \"samples\": must be non-empty"
-     else if lo > hi then Error "confidence interval has lo > hi"
-     else Ok { mean; lo; hi; samples }
-
-let entry_of_json i j =
-  in_context (Printf.sprintf "entries[%d]" i)
-  @@ let* structure = str_field "structure" j in
-     let* workload = str_field "workload" j in
-     let* domains = int_field "domains" j in
-     let* queries_per_domain = int_field "queries_per_domain" j in
-     let* trials = int_field "trials" j in
-     let* ns_per_query = ci_of_json "ns_per_query" j in
-     let* probes_per_query = ci_of_json "probes_per_query" j in
-     let* p50_ns = float_field "p50_ns" j in
-     let* p99_ns = float_field "p99_ns" j in
-     let* hotspot_ratio = float_field "hotspot_ratio" j in
-     let* queries = int_field "queries" j in
-     let* probes = int_field "probes" j in
-     (* Optional update-path fields: absent in read-only configurations
-        and in artifacts written before the update observatory. *)
-     let* ns_per_update =
-       match Json.member "ns_per_update" j with
-       | None -> Ok None
-       | Some _ ->
-         let* c = ci_of_json "ns_per_update" j in
-         Ok (Some c)
-     in
-     let* write_amp =
-       match Json.member "write_amp" j with
-       | None -> Ok None
-       | Some v -> (
-         match Json.float_value v with
-         | Some f -> Ok (Some f)
-         | None -> Error "field \"write_amp\": expected a number")
-     in
-     (* Optional GC fields: absent in artifacts written before the
-        scaling observatory. *)
-     let* minor_words_per_query =
-       match Json.member "minor_words_per_query" j with
-       | None -> Ok None
-       | Some v -> (
-         match Json.float_value v with
-         | Some f -> Ok (Some f)
-         | None -> Error "field \"minor_words_per_query\": expected a number")
-     in
-     let* major_collections =
-       match Json.member "major_collections" j with
-       | None -> Ok None
-       | Some v -> (
-         match Json.int_value v with
-         | Some c -> Ok (Some c)
-         | None -> Error "field \"major_collections\": expected an integer")
-     in
-     if domains < 1 then Error "domains must be >= 1"
-     else if trials < 1 then Error "trials must be >= 1"
-     else
-       Ok
-         {
-           structure;
-           workload;
-           domains;
-           queries_per_domain;
-           trials;
-           ns_per_query;
-           probes_per_query;
-           p50_ns;
-           p99_ns;
-           hotspot_ratio;
-           queries;
-           probes;
-           ns_per_update;
-           write_amp;
-           minor_words_per_query;
-           major_collections;
-         }
-
-let fingerprint_of_json j =
-  in_context "fingerprint"
-  @@ let* v = field "fingerprint" j in
-     let* ocaml_version = str_field "ocaml_version" v in
-     let* os_type = str_field "os_type" v in
-     let* word_size = int_field "word_size" v in
-     let* cores = int_field "cores" v in
-     let* git_rev = str_field "git_rev" v in
-     let* seed = int_field "seed" v in
-     let* clock_overhead_ns = float_field "clock_overhead_ns" v in
-     let* probe_sample_period = int_field "probe_sample_period" v in
-     let* created_unix = float_field "created_unix" v in
-     Ok
-       {
-         ocaml_version;
-         os_type;
-         word_size;
-         cores;
-         git_rev;
-         seed;
-         clock_overhead_ns;
-         probe_sample_period;
-         created_unix;
-       }
-
-let of_json j =
-  let* () = Jsonu.check_schema ~expect:schema_name ~version:schema_version j in
-  let* fingerprint = fingerprint_of_json j in
-  let* entries_j = field "entries" j in
-  let* entries =
-    List.fold_right
-      (fun (i, e) acc ->
-        let* acc = acc in
-        let* e = entry_of_json i e in
-        Ok (e :: acc))
-      (List.mapi (fun i e -> (i, e)) (Json.to_list entries_j))
-      (Ok [])
-  in
-  if entries = [] then Error "entries: must be non-empty" else Ok { fingerprint; entries }
-
-let of_string s =
-  let* j = Json.parse s in
-  of_json j
-
-let load path =
-  match read_file_opt path with
-  | None -> Error (Printf.sprintf "%s: cannot read" path)
-  | Some s -> in_context path (of_string s)
-
-let write ~path t = Lc_obs.Export.write_file ~path (to_string t)
 
 let next_path ~dir =
   let taken n = Sys.file_exists (Filename.concat dir (Printf.sprintf "BENCH_%d.json" n)) in

@@ -73,16 +73,14 @@ val fingerprint : seed:int -> fingerprint
 (** Capture the current environment (reads [.git/HEAD], calibrates the
     clock). *)
 
-val to_json : t -> Lc_obs.Json.t
+val document : t Lc_obs.Codec.document
+(** The ["lowcon-bench"] v1 shape. Decoding checks every field's
+    presence and type and the basic invariants: non-empty entries and
+    samples, [lo <= hi], positive [domains]/[trials]. *)
 
 val to_string : t -> string
 (** Strict serialisation; raises [Failure] naming the JSON path if any
     value is NaN or infinite. *)
-
-val of_json : Lc_obs.Json.t -> (t, string) result
-(** Validates schema name and version, every field's presence and type,
-    and basic invariants (non-empty entries and samples, [lo <= hi],
-    positive [domains]/[trials]). *)
 
 val of_string : string -> (t, string) result
 val load : string -> (t, string) result
@@ -100,13 +98,7 @@ val key : entry -> string * string * int
 
 (** {2 Pieces shared with the postmortem and scaling artifacts} *)
 
-val json_of_fingerprint : fingerprint -> Lc_obs.Json.t
+val fingerprint_codec : fingerprint Lc_obs.Codec.t
 
-val fingerprint_of_json : Lc_obs.Json.t -> (fingerprint, string) result
-(** Reads the ["fingerprint"] member of the given document. *)
-
-val json_of_ci : ci -> Lc_obs.Json.t
-
-val ci_of_json : string -> Lc_obs.Json.t -> (ci, string) result
-(** [ci_of_json name j] reads and validates the [name] member of [j]
-    (non-empty samples, [lo <= hi]). *)
+val ci_codec : ci Lc_obs.Codec.t
+(** Checks non-empty samples and [lo <= hi]. *)

@@ -8,7 +8,7 @@
    would shrug at; CI alone flags lucky rank orderings; requiring both
    keeps a noisy CI run from crying wolf. *)
 
-module Json = Lc_obs.Json
+module Codec = Lc_obs.Codec
 module Metrics = Lc_obs.Metrics
 module Sigtest = Lc_analysis.Sigtest
 module Tablefmt = Lc_analysis.Tablefmt
@@ -36,10 +36,9 @@ type report = {
   alpha : float;
 }
 
-let verdict_string = function
-  | Regression -> "REGRESSION"
-  | Improvement -> "improvement"
-  | No_change -> "no change"
+let verdicts =
+  [ ("REGRESSION", Regression); ("improvement", Improvement); ("no change", No_change) ]
+let verdict_string v = fst (List.find (fun (_, v') -> v' = v) verdicts)
 
 let key_string (s, w, d) = Printf.sprintf "%s/%s@%d" s w d
 
@@ -67,6 +66,11 @@ let diff_metric ~alpha (a : Artifact.ci) (b : Artifact.ci) =
     verdict;
   }
 
+(* Rows where either metric got verdict [v]: how a report counts its
+   regressions and improvements, and how a decoded one is re-checked. *)
+let count rows v =
+  List.length (List.filter (fun r -> r.ns.verdict = v || r.probes.verdict = v) rows)
+
 let compare_artifacts ?(alpha = 0.05) (a : Artifact.t) (b : Artifact.t) =
   if alpha <= 0.0 || alpha >= 1.0 then invalid_arg "Diff.compare_artifacts: alpha outside (0, 1)";
   let index art =
@@ -89,16 +93,12 @@ let compare_artifacts ?(alpha = 0.05) (a : Artifact.t) (b : Artifact.t) =
       ia
   in
   let missing_from other = List.filter_map (fun (k, _) -> if List.mem_assoc k other then None else Some k) in
-  let count v =
-    List.length
-      (List.filter (fun r -> r.ns.verdict = v || r.probes.verdict = v) rows)
-  in
   {
     rows;
     only_in_a = missing_from ib ia;
     only_in_b = missing_from ia ib;
-    regressions = count Regression;
-    improvements = count Improvement;
+    regressions = count rows Regression;
+    improvements = count rows Improvement;
     alpha;
   }
 
@@ -146,44 +146,60 @@ let render r =
        (List.length r.rows) r.regressions r.improvements);
   Buffer.contents buf
 
-let json_of_metric m =
-  Json.Obj
-    [
-      ("a_mean", Json.Float m.a_mean);
-      ("b_mean", Json.Float m.b_mean);
-      ("delta_pct", Json.Float m.delta_pct);
-      ("p", Json.Float m.p);
-      ( "method",
-        Json.String (match m.method_ with Sigtest.Exact -> "exact" | Sigtest.Normal_approx -> "normal") );
-      ("ci_disjoint", Json.Bool m.disjoint);
-      ("verdict", Json.String (verdict_string m.verdict));
-    ]
+let metric_codec =
+  Codec.(
+    obj (fun a_mean b_mean delta_pct p method_ disjoint verdict ->
+        { a_mean; b_mean; delta_pct; p; method_; disjoint; verdict })
+    |> field "a_mean" (fun m -> m.a_mean) float
+    |> field "b_mean" (fun m -> m.b_mean) float
+    |> field "delta_pct" (fun m -> m.delta_pct) float
+    |> field "p" (fun m -> m.p) float
+    |> field "method" (fun m -> m.method_)
+         (enum [ ("exact", Sigtest.Exact); ("normal", Sigtest.Normal_approx) ])
+    |> field "ci_disjoint" (fun m -> m.disjoint) bool
+    |> field "verdict" (fun m -> m.verdict) (enum verdicts)
+    |> seal)
 
-let to_json r =
-  let key_json (s, w, d) =
-    Json.Obj [ ("structure", Json.String s); ("workload", Json.String w); ("domains", Json.Int d) ]
-  in
-  Json.Obj
-    [
-      ("schema", Json.String "lowcon-perf-diff");
-      ("version", Json.Int 1);
-      ("alpha", Json.Float r.alpha);
-      ("regressions", Json.Int r.regressions);
-      ("improvements", Json.Int r.improvements);
-      ( "rows",
-        Json.List
-          (List.map
-             (fun row ->
-               Json.Obj
-                 [
-                   ("key", key_json row.key);
-                   ("ns_per_query", json_of_metric row.ns);
-                   ("probes_per_query", json_of_metric row.probes);
-                 ])
-             r.rows) );
-      ("only_in_a", Json.List (List.map key_json r.only_in_a));
-      ("only_in_b", Json.List (List.map key_json r.only_in_b));
-    ]
+let key_codec =
+  Codec.(
+    obj (fun s w d -> (s, w, d))
+    |> field "structure" (fun (s, _, _) -> s) string
+    |> field "workload" (fun (_, w, _) -> w) string
+    |> field "domains" (fun (_, _, d) -> d) int
+    |> seal)
+
+let document =
+  Codec.(
+    document ~name:"lowcon-perf-diff" ~version:1
+      ~summary:(fun r ->
+        Printf.sprintf "%d configuration(s), %d regression(s), %d improvement(s)"
+          (List.length r.rows) r.regressions r.improvements)
+      (obj (fun alpha regressions improvements rows only_in_a only_in_b ->
+           { rows; only_in_a; only_in_b; regressions; improvements; alpha })
+      |> field "alpha" (fun r -> r.alpha) float
+      |> field "regressions" (fun r -> r.regressions) int
+      |> field "improvements" (fun r -> r.improvements) int
+      |> field "rows" (fun r -> r.rows)
+           (list
+              (obj (fun key ns probes -> { key; ns; probes })
+              |> field "key" (fun row -> row.key) key_codec
+              |> field "ns_per_query" (fun row -> row.ns) metric_codec
+              |> field "probes_per_query" (fun row -> row.probes) metric_codec
+              |> seal))
+      |> field "only_in_a" (fun r -> r.only_in_a) (list key_codec)
+      |> field "only_in_b" (fun r -> r.only_in_b) (list key_codec)
+      |> seal
+      |> check (fun r ->
+             let recount what stored v =
+               if count r.rows v = stored then Ok ()
+               else
+                 Error
+                   (Printf.sprintf "%s is %d but the rows show %d" what stored (count r.rows v))
+             in
+             Result.bind (recount "regressions" r.regressions Regression) (fun () ->
+                 recount "improvements" r.improvements Improvement))))
+
+let to_json = Codec.to_json document
 
 (* Gauges through the real registry + exporter rather than hand-rolled
    text: the output stays consistent with every other exposition this

@@ -41,11 +41,15 @@ val render : report -> string
 (** Aligned {!Lc_analysis.Tablefmt} table plus unmatched-key and summary
     lines. *)
 
+val document : report Lc_obs.Codec.document
+(** The ["lowcon-perf-diff"] v1 shape. Decoding recomputes
+    [regressions] and [improvements] from the rows, by the rule
+    {!compare_artifacts} counts them. *)
+
 val to_json : report -> Lc_obs.Json.t
 
 val prometheus : report -> string
 (** [perf_diff_*] gauges in the exposition format, built through the
     {!Lc_obs.Metrics} registry and {!Lc_obs.Export.prometheus}. *)
 
-val verdict_string : verdict -> string
 val key_string : string * string * int -> string

@@ -6,10 +6,10 @@
    answered offline, from the JSON alone, long after the process is
    gone. *)
 
-module Json = Lc_obs.Json
+module Codec = Lc_obs.Codec
 module Journal = Lc_obs.Journal
 module Window = Lc_obs.Window
-module Heavy = Lc_obs.Heavy
+module Controller = Lc_control.Controller
 
 let schema_name = "lowcon-postmortem"
 let schema_version = 1
@@ -56,483 +56,179 @@ let capture ~fingerprint ~structure ~workload ~domains ~trigger:(e : Window.entr
       };
   }
 
-(* ---------------- encoding ---------------- *)
+(* ---------------- the document ---------------- *)
 
-let json_of_cells top =
-  Json.List (List.map (fun (i, c, e) -> Json.List [ Json.Int i; Json.Int c; Json.Int e ]) top)
-
-let json_of_uentry (u : Window.uentry) =
-  Json.Obj
-    [
-      ("inserts", Json.Int u.Window.u_inserts);
-      ("deletes", Json.Int u.Window.u_deletes);
-      ("ups", Json.Float u.Window.ups);
-      ("publications", Json.Int u.Window.u_pubs);
-      ("pubs_per_s", Json.Float u.Window.pubs_per_s);
-      ("cells_written", Json.Int u.Window.u_cells);
-      ("write_amp", Json.Float u.Window.write_amp);
-      ("rebuild_p50_ns", Json.Float u.Window.rebuild_p50_ns);
-      ("rebuild_p99_ns", Json.Float u.Window.rebuild_p99_ns);
-      ("epoch", Json.Int u.Window.u_epoch);
-      ("retired_pending", Json.Int u.Window.u_retired);
-      ("reader_lag", Json.Int u.Window.u_reader_lag);
-      ("cum_updates", Json.Int u.Window.cum_updates);
-      ("cum_cells", Json.Int u.Window.cum_cells);
-    ]
-
-let json_of_gentry (g : Window.gentry) =
-  Json.Obj
-    [
-      ("minor_words", Json.Int g.Window.g_minor_words);
-      ("promoted_words", Json.Int g.Window.g_promoted_words);
-      ("major_words", Json.Int g.Window.g_major_words);
-      ("minor_collections", Json.Int g.Window.g_minor_collections);
-      ("major_collections", Json.Int g.Window.g_major_collections);
-      ("alloc_per_query", Json.Float g.Window.alloc_per_query);
-      ("heap_words", Json.Int g.Window.g_heap_words);
-      ("cum_minor_words", Json.Int g.Window.cum_minor_words);
-      ("cum_major_collections", Json.Int g.Window.cum_major_collections);
-    ]
-
-let json_of_window (e : Window.entry) =
-  Json.Obj
-    ((match e.Window.updates with
-     | None -> []
-     | Some u -> [ ("updates", json_of_uentry u) ])
-    @ (match e.Window.gc with
-      | None -> []
-      | Some g -> [ ("gc", json_of_gentry g) ])
-    @ [
-      ("index", Json.Int e.Window.index);
-      ("t_start_s", Json.Float e.Window.t_start_s);
-      ("t_end_s", Json.Float e.Window.t_end_s);
-      ("queries", Json.Int e.Window.queries);
-      ("probes", Json.Int e.Window.probes);
-      ("qps", Json.Float e.Window.qps);
-      ("probes_per_s", Json.Float e.Window.probes_per_s);
-      ("p50_ns", Json.Float e.Window.p50_ns);
-      ("p99_ns", Json.Float e.Window.p99_ns);
-      ( "top_cells",
-        json_of_cells
-          (List.map (fun (c : Heavy.entry) -> (c.Heavy.item, c.Heavy.count, c.Heavy.err))
-             e.Window.top_cells) );
-      ("max_cell", Json.Int e.Window.max_cell);
-      ("max_share", Json.Float e.Window.max_share);
-      ("hotspot_ratio", Json.Float e.Window.hotspot_ratio);
-      ("alert", Json.Bool e.Window.alert);
-      ("cum_queries", Json.Int e.Window.cum_queries);
-      ("cum_probes", Json.Int e.Window.cum_probes);
-    ])
-
-let json_of_kind = function
-  | Journal.Window_cut { index; queries; qps; p50_ns; p99_ns; hotspot_ratio; alert } ->
-    [
-      ("type", Json.String "window_cut");
-      ("index", Json.Int index);
-      ("queries", Json.Int queries);
-      ("qps", Json.Float qps);
-      ("p50_ns", Json.Float p50_ns);
-      ("p99_ns", Json.Float p99_ns);
-      ("hotspot_ratio", Json.Float hotspot_ratio);
-      ("alert", Json.Bool alert);
-    ]
-  | Journal.Alert_raised { index; ratio; factor } ->
-    [
-      ("type", Json.String "alert_raised");
-      ("index", Json.Int index);
-      ("ratio", Json.Float ratio);
-      ("factor", Json.Float factor);
-    ]
-  | Journal.Alert_cleared { index; ratio; factor } ->
-    [
-      ("type", Json.String "alert_cleared");
-      ("index", Json.Int index);
-      ("ratio", Json.Float ratio);
-      ("factor", Json.Float factor);
-    ]
-  | Journal.Sketch_snapshot { top } -> [ ("type", Json.String "sketch_snapshot"); ("top", json_of_cells top) ]
-  | Journal.Stage { name; mark } ->
-    [
-      ("type", Json.String "stage");
-      ("name", Json.String name);
-      ("mark", Json.String (match mark with `Begin -> "begin" | `End -> "end"));
-    ]
-  | Journal.Publish { queries } -> [ ("type", Json.String "publish"); ("queries", Json.Int queries) ]
-  | Journal.Epoch_publish { epoch; batch; levels; fresh_cells; dur_ns } ->
-    [
-      ("type", Json.String "epoch_publish");
-      ("epoch", Json.Int epoch);
-      ("batch", Json.Int batch);
-      ("levels", Json.Int levels);
-      ("fresh_cells", Json.Int fresh_cells);
-      ("dur_ns", Json.Int dur_ns);
-    ]
-  | Journal.Level_merge { level; keys; replicas; cells; dur_ns } ->
-    [
-      ("type", Json.String "level_merge");
-      ("level", Json.Int level);
-      ("keys", Json.Int keys);
-      ("replicas", Json.Int replicas);
-      ("cells", Json.Int cells);
-      ("dur_ns", Json.Int dur_ns);
-    ]
-  | Journal.Reclaim { epoch; freed; lag; pending } ->
-    [
-      ("type", Json.String "reclaim");
-      ("epoch", Json.Int epoch);
-      ("freed", Json.Int freed);
-      ("lag", Json.Int lag);
-      ("pending", Json.Int pending);
-    ]
-  | Journal.Control_decision
-      { id; window; ratio; cell; count; err; score; action; old_boost; new_boost; cooldown } ->
-    [
-      ("type", Json.String "control_decision");
-      ("id", Json.Int id);
-      ("window", Json.Int window);
-      ("ratio", Json.Float ratio);
-      ("cell", Json.Int cell);
-      ("count", Json.Int count);
-      ("err", Json.Int err);
-      ("score", Json.Int score);
-      ("action", Json.String (match action with `Raise -> "raise" | `Lower -> "lower"));
-      ("old_boost", Json.Int old_boost);
-      ("new_boost", Json.Int new_boost);
-      ("cooldown", Json.Int cooldown);
-    ]
-  | Journal.Control_applied { id; epoch; boost; levels; cells; dur_ns } ->
-    [
-      ("type", Json.String "control_applied");
-      ("id", Json.Int id);
-      ("epoch", Json.Int epoch);
-      ("boost", Json.Int boost);
-      ("levels", Json.Int levels);
-      ("cells", Json.Int cells);
-      ("dur_ns", Json.Int dur_ns);
-    ]
-
-let json_of_event (e : Journal.event) =
-  Json.Obj
-    (("t_ns", Json.Int (Int64.to_int e.Journal.t_ns))
-    :: ("writer", Json.Int e.Journal.writer)
-    :: ("seq", Json.Int e.Journal.seq)
-    :: json_of_kind e.Journal.kind)
-
-let to_json t =
-  Json.Obj
-    [
-      ("schema", Json.String schema_name);
-      ("version", Json.Int schema_version);
-      ("fingerprint", Artifact.json_of_fingerprint t.fingerprint);
-      ("structure", Json.String t.structure);
-      ("workload", Json.String t.workload);
-      ("domains", Json.Int t.domains);
-      ("alert_factor", Json.Float t.alert_factor);
-      ( "trigger",
-        Json.Obj
-          [
-            ("index", Json.Int t.trigger.index);
-            ("ratio", Json.Float t.trigger.ratio);
-            ("factor", Json.Float t.trigger.factor);
-          ] );
-      ("windows", Json.List (List.map json_of_window t.windows));
-      ("events", Json.List (List.map json_of_event t.events));
-      ("dropped", Json.Int t.dropped);
-      ( "alert",
-        Json.Obj
-          [
-            ("active", Json.Bool t.alert.active);
-            ("firing_run", Json.Int t.alert.firing_run);
-            ("fired_total", Json.Int t.alert.fired_total);
-          ] );
-    ]
-
-let to_string t =
-  match Json.to_string_strict (to_json t) with
-  | Ok s -> s
-  | Error { Json.path; value } ->
-    failwith
-      (Printf.sprintf "Postmortem.to_string: non-finite value %h at %s — refusing to write"
-         value path)
-
-let write ~path t = Lc_obs.Export.write_file ~path (to_string t)
-
-(* ---------------- decoding ---------------- *)
-
-let ( let* ) = Result.bind
-
-let cells_of_json name j =
-  let* l = Jsonu.list_field name j in
-  Jsonu.decode_list name
-    (fun c ->
-      match c with
-      | Json.List [ a; b; e ] -> (
-        match (Json.int_value a, Json.int_value b, Json.int_value e) with
-        | Some i, Some count, Some err -> Ok (i, count, err)
-        | _ -> Error "expected [item, count, err] integers")
-      | _ -> Error "expected a 3-element array")
-    l
-
-let uentry_of_json j =
-  let* u_inserts = Jsonu.int_field "inserts" j in
-  let* u_deletes = Jsonu.int_field "deletes" j in
-  let* ups = Jsonu.float_field "ups" j in
-  let* u_pubs = Jsonu.int_field "publications" j in
-  let* pubs_per_s = Jsonu.float_field "pubs_per_s" j in
-  let* u_cells = Jsonu.int_field "cells_written" j in
-  let* write_amp = Jsonu.float_field "write_amp" j in
-  let* rebuild_p50_ns = Jsonu.float_field "rebuild_p50_ns" j in
-  let* rebuild_p99_ns = Jsonu.float_field "rebuild_p99_ns" j in
-  let* u_epoch = Jsonu.int_field "epoch" j in
-  let* u_retired = Jsonu.int_field "retired_pending" j in
-  let* u_reader_lag = Jsonu.int_field "reader_lag" j in
-  let* cum_updates = Jsonu.int_field "cum_updates" j in
-  let* cum_cells = Jsonu.int_field "cum_cells" j in
-  Ok
-    {
-      Window.u_inserts;
-      u_deletes;
-      ups;
-      u_pubs;
-      pubs_per_s;
-      u_cells;
-      write_amp;
-      rebuild_p50_ns;
-      rebuild_p99_ns;
-      u_epoch;
-      u_retired;
-      u_reader_lag;
-      cum_updates;
-      cum_cells;
-    }
-
-let gentry_of_json j =
-  let* g_minor_words = Jsonu.int_field "minor_words" j in
-  let* g_promoted_words = Jsonu.int_field "promoted_words" j in
-  let* g_major_words = Jsonu.int_field "major_words" j in
-  let* g_minor_collections = Jsonu.int_field "minor_collections" j in
-  let* g_major_collections = Jsonu.int_field "major_collections" j in
-  let* alloc_per_query = Jsonu.float_field "alloc_per_query" j in
-  let* g_heap_words = Jsonu.int_field "heap_words" j in
-  let* cum_minor_words = Jsonu.int_field "cum_minor_words" j in
-  let* cum_major_collections = Jsonu.int_field "cum_major_collections" j in
-  Ok
-    {
-      Window.g_minor_words;
-      g_promoted_words;
-      g_major_words;
-      g_minor_collections;
-      g_major_collections;
-      alloc_per_query;
-      g_heap_words;
-      cum_minor_words;
-      cum_major_collections;
-    }
-
-let window_of_json j =
-  let* index = Jsonu.int_field "index" j in
-  let* t_start_s = Jsonu.float_field "t_start_s" j in
-  let* t_end_s = Jsonu.float_field "t_end_s" j in
-  let* queries = Jsonu.int_field "queries" j in
-  let* probes = Jsonu.int_field "probes" j in
-  let* qps = Jsonu.float_field "qps" j in
-  let* probes_per_s = Jsonu.float_field "probes_per_s" j in
-  let* p50_ns = Jsonu.float_field "p50_ns" j in
-  let* p99_ns = Jsonu.float_field "p99_ns" j in
-  let* cells = cells_of_json "top_cells" j in
-  let* max_cell = Jsonu.int_field "max_cell" j in
-  let* max_share = Jsonu.float_field "max_share" j in
-  let* hotspot_ratio = Jsonu.float_field "hotspot_ratio" j in
-  let* alert = Jsonu.bool_field "alert" j in
-  let* cum_queries = Jsonu.int_field "cum_queries" j in
-  let* cum_probes = Jsonu.int_field "cum_probes" j in
-  (* Optional: pre-observatory dumps (and static-workload windows) have
-     no "updates" member. *)
-  let* updates =
-    match Json.member "updates" j with
-    | None -> Ok None
-    | Some u -> Result.map Option.some (Jsonu.in_context "updates" (uentry_of_json u))
+(* Journal kinds carry inline records; each case projects its payload
+   into a tuple (or, for a controller decision, the controller's own
+   record, whose codec /control.json shares) and back. *)
+let kind_codec =
+  let open Codec in
+  let window_cut =
+    obj (fun i q qps p50 p99 h a -> (i, q, qps, p50, p99, h, a))
+    |> field "index" (fun (i, _, _, _, _, _, _) -> i) int
+    |> field "queries" (fun (_, q, _, _, _, _, _) -> q) int
+    |> field "qps" (fun (_, _, qps, _, _, _, _) -> qps) float
+    |> field "p50_ns" (fun (_, _, _, p50, _, _, _) -> p50) float
+    |> field "p99_ns" (fun (_, _, _, _, p99, _, _) -> p99) float
+    |> field "hotspot_ratio" (fun (_, _, _, _, _, h, _) -> h) float
+    |> field "alert" (fun (_, _, _, _, _, _, a) -> a) bool
+    |> seal
   in
-  (* Optional for the same reason: pre-scaling-observatory dumps have no
-     "gc" member. *)
-  let* gc =
-    match Json.member "gc" j with
-    | None -> Ok None
-    | Some g -> Result.map Option.some (Jsonu.in_context "gc" (gentry_of_json g))
+  let edge =
+    obj (fun index ratio factor -> (index, ratio, factor))
+    |> field "index" (fun (i, _, _) -> i) int
+    |> field "ratio" (fun (_, r, _) -> r) float
+    |> field "factor" (fun (_, _, f) -> f) float
+    |> seal
   in
-  Ok
-    {
-      Window.index;
-      t_start_s;
-      t_end_s;
-      queries;
-      probes;
-      qps;
-      probes_per_s;
-      p50_ns;
-      p99_ns;
-      top_cells =
-        List.map (fun (item, count, err) -> { Heavy.item; count; err }) cells;
-      max_cell;
-      max_share;
-      hotspot_ratio;
-      alert;
-      cum_queries;
-      cum_probes;
-      updates;
-      gc;
-    }
-
-let kind_of_json j =
-  let* ty = Jsonu.str_field "type" j in
-  match ty with
-  | "window_cut" ->
-    let* index = Jsonu.int_field "index" j in
-    let* queries = Jsonu.int_field "queries" j in
-    let* qps = Jsonu.float_field "qps" j in
-    let* p50_ns = Jsonu.float_field "p50_ns" j in
-    let* p99_ns = Jsonu.float_field "p99_ns" j in
-    let* hotspot_ratio = Jsonu.float_field "hotspot_ratio" j in
-    let* alert = Jsonu.bool_field "alert" j in
-    Ok (Journal.Window_cut { index; queries; qps; p50_ns; p99_ns; hotspot_ratio; alert })
-  | "alert_raised" | "alert_cleared" ->
-    let* index = Jsonu.int_field "index" j in
-    let* ratio = Jsonu.float_field "ratio" j in
-    let* factor = Jsonu.float_field "factor" j in
-    Ok
-      (if ty = "alert_raised" then Journal.Alert_raised { index; ratio; factor }
-       else Journal.Alert_cleared { index; ratio; factor })
-  | "sketch_snapshot" ->
-    let* top = cells_of_json "top" j in
-    Ok (Journal.Sketch_snapshot { top })
-  | "stage" ->
-    let* name = Jsonu.str_field "name" j in
-    let* mark = Jsonu.str_field "mark" j in
-    let* mark =
-      match mark with
-      | "begin" -> Ok `Begin
-      | "end" -> Ok `End
-      | m -> Error (Printf.sprintf "field \"mark\": expected \"begin\" or \"end\", got %S" m)
-    in
-    Ok (Journal.Stage { name; mark })
-  | "publish" ->
-    let* queries = Jsonu.int_field "queries" j in
-    Ok (Journal.Publish { queries })
-  | "epoch_publish" ->
-    let* epoch = Jsonu.int_field "epoch" j in
-    let* batch = Jsonu.int_field "batch" j in
-    let* levels = Jsonu.int_field "levels" j in
-    let* fresh_cells = Jsonu.int_field "fresh_cells" j in
-    let* dur_ns = Jsonu.int_field "dur_ns" j in
-    Ok (Journal.Epoch_publish { epoch; batch; levels; fresh_cells; dur_ns })
-  | "level_merge" ->
-    let* level = Jsonu.int_field "level" j in
-    let* keys = Jsonu.int_field "keys" j in
-    let* replicas = Jsonu.int_field "replicas" j in
-    let* cells = Jsonu.int_field "cells" j in
-    let* dur_ns = Jsonu.int_field "dur_ns" j in
-    Ok (Journal.Level_merge { level; keys; replicas; cells; dur_ns })
-  | "reclaim" ->
-    let* epoch = Jsonu.int_field "epoch" j in
-    let* freed = Jsonu.int_field "freed" j in
-    let* lag = Jsonu.int_field "lag" j in
-    let* pending = Jsonu.int_field "pending" j in
-    Ok (Journal.Reclaim { epoch; freed; lag; pending })
-  | "control_decision" ->
-    let* id = Jsonu.int_field "id" j in
-    let* window = Jsonu.int_field "window" j in
-    let* ratio = Jsonu.float_field "ratio" j in
-    let* cell = Jsonu.int_field "cell" j in
-    let* count = Jsonu.int_field "count" j in
-    let* err = Jsonu.int_field "err" j in
-    let* score = Jsonu.int_field "score" j in
-    let* action = Jsonu.str_field "action" j in
-    let* action =
-      match action with
-      | "raise" -> Ok `Raise
-      | "lower" -> Ok `Lower
-      | a -> Error (Printf.sprintf "field \"action\": expected \"raise\" or \"lower\", got %S" a)
-    in
-    let* old_boost = Jsonu.int_field "old_boost" j in
-    let* new_boost = Jsonu.int_field "new_boost" j in
-    let* cooldown = Jsonu.int_field "cooldown" j in
-    Ok
-      (Journal.Control_decision
-         { id; window; ratio; cell; count; err; score; action; old_boost; new_boost; cooldown })
-  | "control_applied" ->
-    let* id = Jsonu.int_field "id" j in
-    let* epoch = Jsonu.int_field "epoch" j in
-    let* boost = Jsonu.int_field "boost" j in
-    let* levels = Jsonu.int_field "levels" j in
-    let* cells = Jsonu.int_field "cells" j in
-    let* dur_ns = Jsonu.int_field "dur_ns" j in
-    Ok (Journal.Control_applied { id; epoch; boost; levels; cells; dur_ns })
-  | ty -> Error (Printf.sprintf "unknown event type %S" ty)
-
-let event_of_json j =
-  let* t_ns = Jsonu.int_field "t_ns" j in
-  let* writer = Jsonu.int_field "writer" j in
-  let* seq = Jsonu.int_field "seq" j in
-  let* kind = kind_of_json j in
-  Ok { Journal.t_ns = Int64.of_int t_ns; writer; seq; kind }
-
-let of_json j =
-  let* () = Jsonu.check_schema ~expect:schema_name ~version:schema_version j in
-  let* fingerprint = Artifact.fingerprint_of_json j in
-  let* structure = Jsonu.str_field "structure" j in
-  let* workload = Jsonu.str_field "workload" j in
-  let* domains = Jsonu.int_field "domains" j in
-  let* alert_factor = Jsonu.float_field "alert_factor" j in
-  let* trigger =
-    Jsonu.in_context "trigger"
-    @@ let* v = Jsonu.field "trigger" j in
-       let* index = Jsonu.int_field "index" v in
-       let* ratio = Jsonu.float_field "ratio" v in
-       let* factor = Jsonu.float_field "factor" v in
-       Ok { index; ratio; factor }
+  let five a b c d e =
+    obj (fun x1 x2 x3 x4 x5 -> (x1, x2, x3, x4, x5))
+    |> field a (fun (x, _, _, _, _) -> x) int
+    |> field b (fun (_, x, _, _, _) -> x) int
+    |> field c (fun (_, _, x, _, _) -> x) int
+    |> field d (fun (_, _, _, x, _) -> x) int
+    |> field e (fun (_, _, _, _, x) -> x) int
+    |> seal
   in
-  let* windows_j = Jsonu.list_field "windows" j in
-  let* windows = Jsonu.decode_list "windows" window_of_json windows_j in
-  let* events_j = Jsonu.list_field "events" j in
-  let* events = Jsonu.decode_list "events" event_of_json events_j in
-  let* dropped = Jsonu.int_field "dropped" j in
-  let* alert =
-    Jsonu.in_context "alert"
-    @@ let* v = Jsonu.field "alert" j in
-       let* active = Jsonu.bool_field "active" v in
-       let* firing_run = Jsonu.int_field "firing_run" v in
-       let* fired_total = Jsonu.int_field "fired_total" v in
-       Ok { active; firing_run; fired_total }
-  in
-  Ok
-    {
-      fingerprint;
-      structure;
-      workload;
-      domains;
-      alert_factor;
-      trigger;
-      windows;
-      events;
-      dropped;
-      alert;
-    }
+  let one name c = obj Fun.id |> field name Fun.id c |> seal in
+  tagged "type"
+    [
+      case "window_cut"
+        (function
+          | Journal.Window_cut { index; queries; qps; p50_ns; p99_ns; hotspot_ratio; alert } ->
+            Some (index, queries, qps, p50_ns, p99_ns, hotspot_ratio, alert)
+          | _ -> None)
+        (fun (index, queries, qps, p50_ns, p99_ns, hotspot_ratio, alert) ->
+          Journal.Window_cut { index; queries; qps; p50_ns; p99_ns; hotspot_ratio; alert })
+        window_cut;
+      case "alert_raised"
+        (function
+          | Journal.Alert_raised { index; ratio; factor } -> Some (index, ratio, factor)
+          | _ -> None)
+        (fun (index, ratio, factor) -> Journal.Alert_raised { index; ratio; factor })
+        edge;
+      case "alert_cleared"
+        (function
+          | Journal.Alert_cleared { index; ratio; factor } -> Some (index, ratio, factor)
+          | _ -> None)
+        (fun (index, ratio, factor) -> Journal.Alert_cleared { index; ratio; factor })
+        edge;
+      case "sketch_snapshot"
+        (function Journal.Sketch_snapshot { top } -> Some top | _ -> None)
+        (fun top -> Journal.Sketch_snapshot { top })
+        (one "top" (list (triple int int int)));
+      case "stage"
+        (function Journal.Stage { name; mark } -> Some (name, mark) | _ -> None)
+        (fun (name, mark) -> Journal.Stage { name; mark })
+        (obj (fun name mark -> (name, mark))
+        |> field "name" fst string
+        |> field "mark" snd (enum [ ("begin", `Begin); ("end", `End) ])
+        |> seal);
+      case "publish"
+        (function Journal.Publish { queries } -> Some queries | _ -> None)
+        (fun queries -> Journal.Publish { queries })
+        (one "queries" int);
+      case "epoch_publish"
+        (function
+          | Journal.Epoch_publish { epoch; batch; levels; fresh_cells; dur_ns } ->
+            Some (epoch, batch, levels, fresh_cells, dur_ns)
+          | _ -> None)
+        (fun (epoch, batch, levels, fresh_cells, dur_ns) ->
+          Journal.Epoch_publish { epoch; batch; levels; fresh_cells; dur_ns })
+        (five "epoch" "batch" "levels" "fresh_cells" "dur_ns");
+      case "level_merge"
+        (function
+          | Journal.Level_merge { level; keys; replicas; cells; dur_ns } ->
+            Some (level, keys, replicas, cells, dur_ns)
+          | _ -> None)
+        (fun (level, keys, replicas, cells, dur_ns) ->
+          Journal.Level_merge { level; keys; replicas; cells; dur_ns })
+        (five "level" "keys" "replicas" "cells" "dur_ns");
+      case "reclaim"
+        (function
+          | Journal.Reclaim { epoch; freed; lag; pending } -> Some (epoch, freed, lag, pending)
+          | _ -> None)
+        (fun (epoch, freed, lag, pending) -> Journal.Reclaim { epoch; freed; lag; pending })
+        (obj (fun epoch freed lag pending -> (epoch, freed, lag, pending))
+        |> field "epoch" (fun (e, _, _, _) -> e) int
+        |> field "freed" (fun (_, f, _, _) -> f) int
+        |> field "lag" (fun (_, _, l, _) -> l) int
+        |> field "pending" (fun (_, _, _, p) -> p) int
+        |> seal);
+      case "control_decision"
+        (function
+          | Journal.Control_decision
+              { id; window; ratio; cell; count; err; score; action; old_boost; new_boost; cooldown }
+            ->
+            Some
+              { Controller.d_id = id; d_window = window; d_ratio = ratio; d_cell = cell;
+                d_count = count; d_err = err; d_score = score; d_action = action;
+                d_old_boost = old_boost; d_new_boost = new_boost; d_cooldown = cooldown }
+          | _ -> None)
+        (fun d ->
+          Journal.Control_decision
+            { id = d.Controller.d_id; window = d.d_window; ratio = d.d_ratio; cell = d.d_cell;
+              count = d.d_count; err = d.d_err; score = d.d_score; action = d.d_action;
+              old_boost = d.d_old_boost; new_boost = d.d_new_boost; cooldown = d.d_cooldown })
+        Controller.decision_codec;
+      case "control_applied"
+        (function
+          | Journal.Control_applied { id; epoch; boost; levels; cells; dur_ns } ->
+            Some (id, (epoch, boost, levels, cells, dur_ns))
+          | _ -> None)
+        (fun (id, (epoch, boost, levels, cells, dur_ns)) ->
+          Journal.Control_applied { id; epoch; boost; levels; cells; dur_ns })
+        (obj (fun id rest -> (id, rest))
+        |> field "id" fst int
+        |> inline snd (five "epoch" "boost" "levels" "cells" "dur_ns")
+        |> seal);
+    ]
 
-let of_string s =
-  let* j = Json.parse s in
-  of_json j
+let event_codec =
+  Codec.(
+    obj (fun t_ns writer seq kind -> { Journal.t_ns; writer; seq; kind })
+    |> field "t_ns" (fun e -> e.Journal.t_ns) (conv Int64.to_int Int64.of_int int)
+    |> field "writer" (fun e -> e.Journal.writer) int
+    |> field "seq" (fun e -> e.Journal.seq) int
+    |> inline (fun e -> e.Journal.kind) kind_codec
+    |> seal)
 
-let load path =
-  match
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Some (really_input_string ic (in_channel_length ic)))
-    with Sys_error _ | End_of_file -> None
-  with
-  | None -> Error (Printf.sprintf "%s: cannot read" path)
-  | Some s -> Jsonu.in_context path (of_string s)
+let document =
+  Codec.(
+    document ~name:schema_name ~version:schema_version
+      ~summary:(fun t ->
+        Printf.sprintf "%d windows, %d events, trigger window %d" (List.length t.windows)
+          (List.length t.events) t.trigger.index)
+      (obj (fun fingerprint structure workload domains alert_factor trigger windows events
+                dropped alert ->
+           { fingerprint; structure; workload; domains; alert_factor; trigger; windows; events;
+             dropped; alert })
+      |> field "fingerprint" (fun t -> t.fingerprint) Artifact.fingerprint_codec
+      |> field "structure" (fun t -> t.structure) string
+      |> field "workload" (fun t -> t.workload) string
+      |> field "domains" (fun t -> t.domains) int
+      |> field "alert_factor" (fun t -> t.alert_factor) float
+      |> field "trigger" (fun t -> t.trigger)
+           (obj (fun index ratio factor -> { index; ratio; factor })
+           |> field "index" (fun g -> g.index) int
+           |> field "ratio" (fun g -> g.ratio) float
+           |> field "factor" (fun g -> g.factor) float
+           |> seal)
+      |> field "windows" (fun t -> t.windows) (list Window.codec)
+      |> field "events" (fun t -> t.events) (list event_codec)
+      |> field "dropped" (fun t -> t.dropped) int
+      |> field "alert" (fun t -> t.alert)
+           (obj (fun active firing_run fired_total -> { active; firing_run; fired_total })
+           |> field "active" (fun a -> a.active) bool
+           |> field "firing_run" (fun a -> a.firing_run) int
+           |> field "fired_total" (fun a -> a.fired_total) int
+           |> seal)
+      |> seal))
+
+let to_string = Codec.to_string_strict document
+let write = Codec.write document
+let of_string = Codec.of_string document
+let load = Codec.load document
 
 (* ---------------- analysis ---------------- *)
 

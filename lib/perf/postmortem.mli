@@ -45,15 +45,14 @@ val capture :
     is fine — the dump is best-effort-fresh, which is what a flight
     recorder wants). *)
 
-val to_json : t -> Lc_obs.Json.t
+val document : t Lc_obs.Codec.document
+(** The ["lowcon-postmortem"] v1 shape. *)
 
 val to_string : t -> string
 (** Strict serialisation; raises [Failure] naming the JSON path on a
     non-finite value. *)
 
 val write : path:string -> t -> unit
-
-val of_json : Lc_obs.Json.t -> (t, string) result
 val of_string : string -> (t, string) result
 val load : string -> (t, string) result
 

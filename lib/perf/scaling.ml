@@ -8,7 +8,7 @@
    same standard: its summary is recomputed from its points, so a
    tampered headline fails validation instead of being believed. *)
 
-module Json = Lc_obs.Json
+module Codec = Lc_obs.Codec
 module Window = Lc_obs.Window
 module Metrics = Lc_obs.Metrics
 module Engine = Lc_parallel.Engine
@@ -255,156 +255,80 @@ let run ?(progress = fun (_ : string) -> ()) ~seed spec =
     summary = summary_of ~points ~fit;
   }
 
-(* ---------------- encoding ---------------- *)
+(* ---------------- the document ---------------- *)
 
-let json_of_phases p =
-  Json.Obj
-    [
-      ("probe_ns", Json.Int p.probe_ns);
-      ("tally_ns", Json.Int p.tally_ns);
-      ("publish_ns", Json.Int p.publish_ns);
-      ("pin_ns", Json.Int p.pin_ns);
-      ("other_ns", Json.Int p.other_ns);
-      ("wall_ns", Json.Int p.wall_ns);
-      ("idle_ns", Json.Int p.idle_ns);
-    ]
+let phases_codec =
+  Codec.(
+    obj (fun probe_ns tally_ns publish_ns pin_ns other_ns wall_ns idle_ns ->
+        { probe_ns; tally_ns; publish_ns; pin_ns; other_ns; wall_ns; idle_ns })
+    |> field "probe_ns" (fun p -> p.probe_ns) int
+    |> field "tally_ns" (fun p -> p.tally_ns) int
+    |> field "publish_ns" (fun p -> p.publish_ns) int
+    |> field "pin_ns" (fun p -> p.pin_ns) int
+    |> field "other_ns" (fun p -> p.other_ns) int
+    |> field "wall_ns" (fun p -> p.wall_ns) int
+    |> field "idle_ns" (fun p -> p.idle_ns) int
+    |> seal
+    |> check (fun p ->
+           let parts = p.probe_ns + p.tally_ns + p.publish_ns + p.pin_ns + p.other_ns in
+           if parts = p.wall_ns then Ok ()
+           else
+             Error
+               (Printf.sprintf
+                  "phases sum to %d ns but wall_ns is %d — attribution does not reconcile" parts
+                  p.wall_ns)))
 
-let json_of_gc g =
-  Json.Obj
-    [
-      ("minor_words", Json.Int g.minor_words);
-      ("promoted_words", Json.Int g.promoted_words);
-      ("major_words", Json.Int g.major_words);
-      ("minor_words_per_query", Json.Float g.minor_words_per_query);
-    ]
+let gc_codec =
+  Codec.(
+    obj (fun minor_words promoted_words major_words minor_words_per_query ->
+        { minor_words; promoted_words; major_words; minor_words_per_query })
+    |> field "minor_words" (fun g -> g.minor_words) int
+    |> field "promoted_words" (fun g -> g.promoted_words) int
+    |> field "major_words" (fun g -> g.major_words) int
+    |> field "minor_words_per_query" (fun g -> g.minor_words_per_query) float
+    |> seal)
 
-let json_of_point p =
-  Json.Obj
-    [
-      ("domains", Json.Int p.p_domains);
-      ("trials", Json.Int p.p_trials);
-      ("throughput", Artifact.json_of_ci p.throughput);
-      ("ns_per_query", Json.Float p.p_ns_per_query);
-      ("phases", json_of_phases p.p_phases);
-      ("gc", json_of_gc p.p_gc);
-      ("queries", Json.Int p.p_queries);
-    ]
+let point_codec =
+  Codec.(
+    obj (fun p_domains p_trials throughput p_ns_per_query p_phases p_gc p_queries ->
+        { p_domains; p_trials; throughput; p_ns_per_query; p_phases; p_gc; p_queries })
+    |> field "domains" (fun p -> p.p_domains) int
+    |> field "trials" (fun p -> p.p_trials) int
+    |> field "throughput" (fun p -> p.throughput) Artifact.ci_codec
+    |> field "ns_per_query" (fun p -> p.p_ns_per_query) float
+    |> field "phases" (fun p -> p.p_phases) phases_codec
+    |> field "gc" (fun p -> p.p_gc) gc_codec
+    |> field "queries" (fun p -> p.p_queries) int
+    |> seal
+    |> check (fun p ->
+           if p.p_domains < 1 then Error "domains must be >= 1"
+           else if p.p_trials < 1 then Error "trials must be >= 1"
+           else Ok ()))
 
-let json_of_summary s =
-  Json.Obj
-    ([
-       ("points", Json.Int s.s_points);
-       ("peak_qps", Json.Float s.s_peak_qps);
-       ("peak_domains", Json.Int s.s_peak_domains);
-     ]
-    @ (match s.s_sigma with Some v -> [ ("sigma", Json.Float v) ] | None -> [])
-    @ match s.s_kappa with Some v -> [ ("kappa", Json.Float v) ] | None -> [])
+let fit_codec =
+  Codec.(
+    obj (fun lambda sigma kappa r2 -> { Usl.lambda; sigma; kappa; r2 })
+    |> field "lambda" (fun f -> f.Usl.lambda) float
+    |> field "sigma" (fun f -> f.Usl.sigma) float
+    |> field "kappa" (fun f -> f.Usl.kappa) float
+    |> field "r2" (fun f -> f.Usl.r2) float
+    |> seal
+    |> check (fun f ->
+           if f.Usl.lambda <= 0.0 then Error "fit lambda must be positive"
+           else if f.Usl.sigma < 0.0 || f.Usl.kappa < 0.0 then
+             Error "fit sigma/kappa must be non-negative"
+           else Ok ()))
 
-let to_json t =
-  Json.Obj
-    ([
-       ("schema", Json.String schema_name);
-       ("version", Json.Int schema_version);
-       ("fingerprint", Artifact.json_of_fingerprint t.fingerprint);
-       ("structure", Json.String t.structure);
-       ("workload", Json.String t.workload);
-       ("queries_per_domain", Json.Int t.queries_per_domain);
-       ("trials", Json.Int t.trials);
-       ("points", Json.List (List.map json_of_point t.points));
-     ]
-    @ (match t.fit with
-      | Some f ->
-        [
-          ( "fit",
-            Json.Obj
-              [
-                ("lambda", Json.Float f.Usl.lambda);
-                ("sigma", Json.Float f.Usl.sigma);
-                ("kappa", Json.Float f.Usl.kappa);
-                ("r2", Json.Float f.Usl.r2);
-              ] );
-        ]
-      | None -> [])
-    @ (match t.fit_error with Some e -> [ ("fit_error", Json.String e) ] | None -> [])
-    @ [ ("summary", json_of_summary t.summary) ])
-
-let to_string t =
-  match Json.to_string_strict (to_json t) with
-  | Ok s -> s
-  | Error { Json.path; value } ->
-    failwith
-      (Printf.sprintf "Scaling.to_string: non-finite value %h at %s — refusing to write" value
-         path)
-
-let write ~path t = Lc_obs.Export.write_file ~path (to_string t)
-
-(* ---------------- decoding ---------------- *)
-
-let ( let* ) = Result.bind
-
-let phases_of_json j =
-  let* probe_ns = Jsonu.int_field "probe_ns" j in
-  let* tally_ns = Jsonu.int_field "tally_ns" j in
-  let* publish_ns = Jsonu.int_field "publish_ns" j in
-  let* pin_ns = Jsonu.int_field "pin_ns" j in
-  let* other_ns = Jsonu.int_field "other_ns" j in
-  let* wall_ns = Jsonu.int_field "wall_ns" j in
-  let* idle_ns = Jsonu.int_field "idle_ns" j in
-  let parts = probe_ns + tally_ns + publish_ns + pin_ns + other_ns in
-  if parts <> wall_ns then
-    Error
-      (Printf.sprintf "phases sum to %d ns but wall_ns is %d — attribution does not reconcile"
-         parts wall_ns)
-  else Ok { probe_ns; tally_ns; publish_ns; pin_ns; other_ns; wall_ns; idle_ns }
-
-let gc_of_json j =
-  let* minor_words = Jsonu.int_field "minor_words" j in
-  let* promoted_words = Jsonu.int_field "promoted_words" j in
-  let* major_words = Jsonu.int_field "major_words" j in
-  let* minor_words_per_query = Jsonu.float_field "minor_words_per_query" j in
-  Ok { minor_words; promoted_words; major_words; minor_words_per_query }
-
-let point_of_json i j =
-  Jsonu.in_context (Printf.sprintf "points[%d]" i)
-  @@ let* p_domains = Jsonu.int_field "domains" j in
-     let* p_trials = Jsonu.int_field "trials" j in
-     let* throughput = Artifact.ci_of_json "throughput" j in
-     let* p_ns_per_query = Jsonu.float_field "ns_per_query" j in
-     let* ph = Jsonu.field "phases" j in
-     let* p_phases = Jsonu.in_context "phases" (phases_of_json ph) in
-     let* g = Jsonu.field "gc" j in
-     let* p_gc = Jsonu.in_context "gc" (gc_of_json g) in
-     let* p_queries = Jsonu.int_field "queries" j in
-     if p_domains < 1 then Error "domains must be >= 1"
-     else if p_trials < 1 then Error "trials must be >= 1"
-     else Ok { p_domains; p_trials; throughput; p_ns_per_query; p_phases; p_gc; p_queries }
-
-let fit_of_json j =
-  let* lambda = Jsonu.float_field "lambda" j in
-  let* sigma = Jsonu.float_field "sigma" j in
-  let* kappa = Jsonu.float_field "kappa" j in
-  let* r2 = Jsonu.float_field "r2" j in
-  if lambda <= 0.0 then Error "fit lambda must be positive"
-  else if sigma < 0.0 || kappa < 0.0 then Error "fit sigma/kappa must be non-negative"
-  else Ok { Usl.lambda; sigma; kappa; r2 }
-
-let summary_of_json j =
-  Jsonu.in_context "summary"
-  @@ let* v = Jsonu.field "summary" j in
-     let* s_points = Jsonu.int_field "points" v in
-     let* s_peak_qps = Jsonu.float_field "peak_qps" v in
-     let* s_peak_domains = Jsonu.int_field "peak_domains" v in
-     let opt name =
-       match Json.member name v with
-       | None -> Ok None
-       | Some f -> (
-         match Json.float_value f with
-         | Some x -> Ok (Some x)
-         | None -> Error (Printf.sprintf "field %S: expected a number" name))
-     in
-     let* s_sigma = opt "sigma" in
-     let* s_kappa = opt "kappa" in
-     Ok { s_points; s_peak_qps; s_peak_domains; s_sigma; s_kappa }
+let summary_codec =
+  Codec.(
+    obj (fun s_points s_peak_qps s_peak_domains s_sigma s_kappa ->
+        { s_points; s_peak_qps; s_peak_domains; s_sigma; s_kappa })
+    |> field "points" (fun s -> s.s_points) int
+    |> field "peak_qps" (fun s -> s.s_peak_qps) float
+    |> field "peak_domains" (fun s -> s.s_peak_domains) int
+    |> opt "sigma" (fun s -> s.s_sigma) float
+    |> opt "kappa" (fun s -> s.s_kappa) float
+    |> seal)
 
 (* Tamper detection: the summary is derived data, so a decoded document
    must agree with a recomputation from its own points. Float fields get
@@ -415,75 +339,58 @@ let close a b =
 let close_opt a b =
   match (a, b) with Some a, Some b -> close a b | None, None -> true | _ -> false
 
-let check_summary ~stored ~computed =
-  if
-    stored.s_points <> computed.s_points
-    || stored.s_peak_domains <> computed.s_peak_domains
-    || not (close stored.s_peak_qps computed.s_peak_qps)
-    || not (close_opt stored.s_sigma computed.s_sigma)
-    || not (close_opt stored.s_kappa computed.s_kappa)
-  then Error "summary does not match a recomputation from points — tampered or corrupt"
-  else Ok ()
-
-let of_json j =
-  let* () = Jsonu.check_schema ~expect:schema_name ~version:schema_version j in
-  let* fingerprint = Artifact.fingerprint_of_json j in
-  let* structure = Jsonu.str_field "structure" j in
-  let* workload = Jsonu.str_field "workload" j in
-  let* queries_per_domain = Jsonu.int_field "queries_per_domain" j in
-  let* trials = Jsonu.int_field "trials" j in
-  let* points_j = Jsonu.list_field "points" j in
-  let* points =
-    List.fold_right
-      (fun (i, p) acc ->
-        let* acc = acc in
-        let* p = point_of_json i p in
-        Ok (p :: acc))
-      (List.mapi (fun i p -> (i, p)) points_j)
-      (Ok [])
+let check_document (t : t) =
+  let rec ordered = function
+    | a :: (b :: _ as rest) -> b.p_domains > a.p_domains && ordered rest
+    | _ -> true
   in
-  let* () =
-    if points = [] then Error "points: must be non-empty"
-    else
-      let rec ordered = function
-        | a :: (b :: _ as rest) ->
-          if b.p_domains <= a.p_domains then
-            Error "points: domain counts must be ascending and distinct"
-          else ordered rest
-        | _ -> Ok ()
-      in
-      ordered points
-  in
-  let* fit =
-    match Json.member "fit" j with
-    | None -> Ok None
-    | Some f -> Result.map Option.some (Jsonu.in_context "fit" (fit_of_json f))
-  in
-  let* fit_error =
-    match Json.member "fit_error" j with
-    | None -> Ok None
-    | Some _ -> Result.map Option.some (Jsonu.str_field "fit_error" j)
-  in
-  let* () =
-    match (fit, fit_error) with
-    | Some _, None | None, Some _ -> Ok ()
+  let computed = summary_of ~points:t.points ~fit:t.fit in
+  let stored = t.summary in
+  if t.points = [] then Error "points: must be non-empty"
+  else if not (ordered t.points) then Error "points: domain counts must be ascending and distinct"
+  else
+    match (t.fit, t.fit_error) with
     | Some _, Some _ -> Error "both fit and fit_error present — exactly one is allowed"
     | None, None -> Error "neither fit nor fit_error present — exactly one is required"
-  in
-  let* summary = summary_of_json j in
-  let* () = check_summary ~stored:summary ~computed:(summary_of ~points ~fit) in
-  Ok { fingerprint; structure; workload; queries_per_domain; trials; points; fit; fit_error; summary }
+    | _ ->
+      if
+        stored.s_points <> computed.s_points
+        || stored.s_peak_domains <> computed.s_peak_domains
+        || not (close stored.s_peak_qps computed.s_peak_qps)
+        || not (close_opt stored.s_sigma computed.s_sigma)
+        || not (close_opt stored.s_kappa computed.s_kappa)
+      then Error "summary does not match a recomputation from points — tampered or corrupt"
+      else Ok ()
 
-let of_string s =
-  let* j = Json.parse s in
-  of_json j
+(* No local open here: inside [Codec.( )] the name [t] is [Codec.t],
+   and [spec] shares this record's labels. *)
+let document =
+  Codec.document ~name:schema_name ~version:schema_version
+    ~summary:(fun (t : t) ->
+      Printf.sprintf "%s/%s, %d point(s), %s" t.structure t.workload (List.length t.points)
+        (match t.fit with
+        | Some f -> Printf.sprintf "sigma %.4f kappa %.6f" f.Usl.sigma f.Usl.kappa
+        | None -> "no fit"))
+    (Codec.obj
+       (fun fingerprint structure workload queries_per_domain trials points fit fit_error summary ->
+         { fingerprint; structure; workload; queries_per_domain; trials; points; fit; fit_error;
+           summary })
+    |> Codec.field "fingerprint" (fun (t : t) -> t.fingerprint) Artifact.fingerprint_codec
+    |> Codec.field "structure" (fun (t : t) -> t.structure) Codec.string
+    |> Codec.field "workload" (fun (t : t) -> t.workload) Codec.string
+    |> Codec.field "queries_per_domain" (fun (t : t) -> t.queries_per_domain) Codec.int
+    |> Codec.field "trials" (fun (t : t) -> t.trials) Codec.int
+    |> Codec.field "points" (fun (t : t) -> t.points) (Codec.list point_codec)
+    |> Codec.opt "fit" (fun (t : t) -> t.fit) fit_codec
+    |> Codec.opt "fit_error" (fun (t : t) -> t.fit_error) Codec.string
+    |> Codec.field "summary" (fun (t : t) -> t.summary) summary_codec
+    |> Codec.seal
+    |> Codec.check check_document)
 
-let load path =
-  match
-    (try Some (In_channel.with_open_bin path In_channel.input_all) with Sys_error _ -> None)
-  with
-  | None -> Error (Printf.sprintf "%s: cannot read" path)
-  | Some s -> Jsonu.in_context path (of_string s)
+let to_string = Codec.to_string_strict document
+let write = Codec.write document
+let of_string = Codec.of_string document
+let load = Codec.load document
 
 (* ---------------- rendering ---------------- *)
 

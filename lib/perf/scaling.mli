@@ -107,15 +107,14 @@ val run : ?progress:(string -> unit) -> seed:int -> spec -> t
     raises instead of fitting garbage. Raises [Invalid_argument] on a
     degenerate spec, [Failure] on reconciliation mismatch. *)
 
-val to_json : t -> Lc_obs.Json.t
+val document : t Lc_obs.Codec.document
+(** The ["lowcon-scaling"] v1 shape. Decoding checks point ordering,
+    each point's phase identity, the fit/fit_error exclusivity, and
+    recomputes the summary from the decoded points — a tampered or
+    truncated document is rejected with a path-qualified reason. *)
+
 val to_string : t -> string
 (** Raises [Failure] on non-finite floats, like {!Artifact.to_string}. *)
-
-val of_json : Lc_obs.Json.t -> (t, string) result
-(** Validates schema name/version, point ordering, the fit/fit_error
-    exclusivity, and recomputes the summary from the decoded points —
-    a tampered or truncated document is rejected with a path-qualified
-    reason. *)
 
 val of_string : string -> (t, string) result
 val load : string -> (t, string) result

@@ -5,9 +5,6 @@
     those names are interpreted, so a committed artifact's keys stay
     meaningful across sessions. *)
 
-val structure_names : string list
-(** ["lc"; "fks-norepl"; "fks"; "dm"; "cuckoo"; "binary"]. *)
-
 val dynamic_name : string
 (** ["lc-dyn"] — the epoch-published dynamic dictionary's name in
     artifact keys and CLI selection. Not a {!structure} name: it has no

@@ -8,7 +8,6 @@ let create ~word_bits ~bits =
 
 let length t = t.bits
 let word_bits t = t.wb
-let word_count t = Array.length t.words
 
 let check_index t i =
   if i < 0 || i >= t.bits then invalid_arg "Bitpack: bit index out of range"

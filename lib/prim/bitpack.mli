@@ -20,9 +20,6 @@ val length : t -> int
 val word_bits : t -> int
 (** Width of the backing words. *)
 
-val word_count : t -> int
-(** Number of backing words, [ceil (bits / word_bits)]. *)
-
 val get : t -> int -> bool
 (** [get t i] is bit [i] (0-indexed from the start of the string). *)
 

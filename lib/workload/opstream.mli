@@ -15,10 +15,6 @@ type mix = {
   p_delete : float;  (** Remaining mass is queries. *)
 }
 
-val default_mix : mix
-(** 40% inserts, 10% deletes, 50% queries — a read-mostly table with
-    churn. *)
-
 val read_write_mix : read_fraction:float -> mix
 (** The serving-workload shape: [read_fraction] of the stream is
     queries, the remaining update mass split evenly between inserts and

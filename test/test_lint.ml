@@ -368,7 +368,22 @@ let test_report_rejects_lies () =
   let wrong_schema = tamper "schema" (Json.String "bench") doc in
   checkb "wrong schema rejected" true (Result.is_error (Report.of_json wrong_schema));
   let wrong_version = tamper "version" (Json.Int 99) doc in
-  checkb "unknown version rejected" true (Result.is_error (Report.of_json wrong_version))
+  checkb "unknown version rejected" true (Result.is_error (Report.of_json wrong_version));
+  (* A list member must be an array: an object or a string in its place
+     is a malformed report, not an empty list. (The findings case keeps
+     a summary that agrees with an empty list, so only the shape is
+     wrong.) *)
+  let not_a_list key value base =
+    checkb (Printf.sprintf "non-array %s rejected" key) true
+      (Result.is_error (Report.of_json (tamper key value base)))
+  in
+  not_a_list "rules" (Json.Obj [ ("x", Json.Int 1) ]) doc;
+  not_a_list "findings" (Json.Obj [ ("rule", Json.String "LC001") ]) lied;
+  not_a_list "parse_errors" (Json.String "none") doc;
+  let baseline = Option.get (Json.member "baseline" doc) in
+  checkb "non-array baseline unused rejected" true
+    (Result.is_error
+       (Report.of_json (tamper "baseline" (tamper "unused" (Json.Int 5) baseline) doc)))
 
 (* ------------------------------------------------------------------ *)
 (* SARIF export                                                        *)

@@ -22,6 +22,13 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 
+let contains needle hay =
+  let rec go i =
+    i + String.length needle <= String.length hay
+    && (String.sub hay i (String.length needle) = needle || go (i + 1))
+  in
+  go 0
+
 let fp =
   {
     Artifact.ocaml_version = "5.1.1";
@@ -164,6 +171,13 @@ let test_artifact_next_path () =
   match Artifact.load (Filename.concat dir "BENCH_0.json") with
   | Ok a -> checki "written artifact loads" 2 (List.length a.Artifact.entries)
   | Error e -> Alcotest.failf "load failed: %s" e
+
+(* A directory is a read error, not an exception. *)
+let test_artifact_load_directory () =
+  with_temp_dir @@ fun dir ->
+  match Artifact.load dir with
+  | Ok _ -> Alcotest.fail "a directory loaded as an artifact"
+  | Error e -> checkb "error names the path" true (String.length e >= String.length dir)
 
 (* ------------------------------------------------------------------ *)
 (* Suite                                                                *)
@@ -310,6 +324,25 @@ let test_diff_unmatched_and_render () =
   checkb "prometheus gauges exported" true
     (contains "perf_diff_regressions" (Diff.prometheus r))
 
+(* The diff document decodes to the same report, re-encodes to the same
+   bytes, and rejects counts that disagree with its rows. *)
+let test_diff_document_roundtrip () =
+  let r =
+    Diff.compare_artifacts (load_fixture "bench_a.json") (load_fixture "bench_b_regressed.json")
+  in
+  let text = Lc_obs.Codec.to_string_strict Diff.document r in
+  (match Lc_obs.Codec.of_string Diff.document text with
+  | Error e -> Alcotest.failf "diff document does not decode: %s" e
+  | Ok r' ->
+    checkb "decodes to the same report" true (r = r');
+    checks "re-encodes to the same bytes" text (Lc_obs.Codec.to_string_strict Diff.document r'));
+  match
+    Lc_obs.Codec.of_json Diff.document
+      (Diff.to_json { r with Diff.regressions = r.Diff.regressions + 1 })
+  with
+  | Ok _ -> Alcotest.fail "a regression count that disagrees with the rows was accepted"
+  | Error e -> checkb "error names the count" true (contains "regressions" e)
+
 (* ------------------------------------------------------------------ *)
 (* Journal                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -381,13 +414,6 @@ let serve_with_recorder ~structure ~alert_factor ~seed =
       (Engine.Static { inst; qdist = qd; queries_per_domain = 500 })
   in
   (w, !captured)
-
-let contains needle hay =
-  let rec go i =
-    i + String.length needle <= String.length hay
-    && (String.sub hay i (String.length needle) = needle || go (i + 1))
-  in
-  go 0
 
 let test_postmortem_dump_on_hot_structure () =
   (* Unreplicated FKS funnels every query through its parameter cell;
@@ -585,6 +611,8 @@ let () =
           Alcotest.test_case "rejects non-finite floats" `Quick
             test_artifact_strict_rejects_nonfinite;
           Alcotest.test_case "BENCH_<n> numbering" `Quick test_artifact_next_path;
+          Alcotest.test_case "load of a directory is an error" `Quick
+            test_artifact_load_directory;
         ] );
       ( "suite",
         [
@@ -600,6 +628,7 @@ let () =
           Alcotest.test_case "self-diff is silent" `Quick test_diff_self_is_silent;
           Alcotest.test_case "unmatched keys and renderings" `Quick
             test_diff_unmatched_and_render;
+          Alcotest.test_case "document round-trip" `Quick test_diff_document_roundtrip;
         ] );
       ( "journal",
         [
