@@ -596,15 +596,15 @@ let monitor_run seed n universe_opt dist structure domains queries cost_spec win
        in
        Engine.Monitor.attach_controller mon ctl
      | `Static _ -> assert false);
-  let server =
-    Option.map (fun p -> Lc_obs.Http.start ~port:p (Engine.Monitor.routes mon)) port_opt
-  in
+  let routes = Engine.Monitor.routes mon in
+  let server = Option.map (fun p -> Lc_obs.Http.start ~port:p routes) port_opt in
   (match server with
   | Some s ->
     bound_port := Some (Lc_obs.Http.port s);
-    Printf.printf "Scrape endpoint: http://127.0.0.1:%d/metrics (also /snapshot.json, \
-                   /cells.json, /windows.json, /updates.json, /scaling.json, /healthz)\n%!"
-      (Lc_obs.Http.port s)
+    Printf.printf "Scrape endpoint: http://127.0.0.1:%d%s\n%!" (Lc_obs.Http.port s)
+      (match List.map fst routes with
+      | first :: rest -> Printf.sprintf "%s (also %s)" first (String.concat ", " rest)
+      | [] -> "")
   | None -> ());
   let w =
     let cfg = Engine.Config.make ~cost ~monitor:mon ~domains ~seed () in
@@ -994,10 +994,20 @@ let validate_files_arg =
            *.trace.json) or a $(b,lowcon profile) output prefix, which expands to its three \
            files.")
 
-(* A scrape line is either a comment or "name[{labels}] value". *)
-let check_prom_line line =
-  if line = "" || String.length line >= 2 && String.sub line 0 2 = "# " then Ok ()
-  else
+(* A scrape line is either a comment or "name[{labels}] value", and a
+   family is typed once: [typed] maps each typed family to the line of
+   its # TYPE. *)
+let check_prom_line typed lineno line =
+  match String.split_on_char ' ' line with
+  | "#" :: "TYPE" :: family :: _ -> (
+    match Hashtbl.find_opt typed family with
+    | Some first ->
+      Error (Printf.sprintf "family %s typed again (first # TYPE at line %d)" family first)
+    | None ->
+      Hashtbl.add typed family lineno;
+      Ok ())
+  | _ when line = "" || String.length line >= 2 && String.sub line 0 2 = "# " -> Ok ()
+  | _ -> (
     match String.rindex_opt line ' ' with
     | None -> Error "no value separator"
     | Some i ->
@@ -1006,7 +1016,7 @@ let check_prom_line line =
       if name = "" then Error "empty series name"
       else if float_of_string_opt value = None then
         Error (Printf.sprintf "unparseable value %S" value)
-      else Ok ()
+      else Ok ())
 
 (* Every schema-versioned document, keyed by its "schema" member. *)
 let documents =
@@ -1030,11 +1040,12 @@ let validate_one path =
   let* text = Lc_obs.Codec.read_file path in
   if Filename.check_suffix path ".prom" then begin
     let lines = String.split_on_char '\n' text in
+    let typed = Hashtbl.create 64 in
     let series = ref 0 in
     let first_err = ref None in
     List.iteri
       (fun i line ->
-        match check_prom_line line with
+        match check_prom_line typed (i + 1) line with
         | Ok () -> if line <> "" && line.[0] <> '#' then incr series
         | Error e ->
           if !first_err = None then
@@ -1103,7 +1114,8 @@ let validate_cmd =
           (lowcon-lint), and /updates.json, /scaling.json and /control.json scrapes \
           (lowcon-updates, lowcon-scaling-live, lowcon-control); SARIF structurally, metrics \
           JSON for its counters object, and .prom files against the Prometheus exposition \
-          line grammar. One pass/fail line per file; exit 1 if any file fails.")
+          line grammar with one # TYPE line per family. One pass/fail line per file; exit 1 \
+          if any file fails.")
     Term.(ret (const validate $ validate_files_arg))
 
 (* ------------------------------------------------------------------ *)

@@ -61,34 +61,6 @@ let atomic_counts t =
   | Instrumented | Uninstrumented ->
     invalid_arg "Instance.atomic_counts: instance is not in atomic mode"
 
-(* The trivial Ops_intf implementation: membership through a private
-   atomic-mode rewrap (so probes are counted reentrantly), updates
-   rejected loudly — a static table cannot change. *)
-module Static_ops = struct
-  type nonrec t = t
-
-  let name t = t.name
-
-  let insert t _ =
-    invalid_arg (Printf.sprintf "%s is a static structure: insert unsupported" t.name)
-
-  let delete t _ =
-    invalid_arg (Printf.sprintf "%s is a static structure: delete unsupported" t.name)
-
-  let mem t rng x = t.mem rng x
-
-  (* A static structure's population is fixed at build time; expose the
-     table size as the closest honest answer without re-deriving the key
-     count from the core. *)
-  let size _ = 0
-
-  let probes t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.counters
-end
-
-let ops_handle t =
-  let t = make Atomic_counters t.core in
-  Ops_intf.Handle ((module Static_ops), t)
-
 let contention_exact t qdist =
   Contention.exact ~cells:t.space ~qdist ~spec:t.spec
 

@@ -81,15 +81,6 @@ val atomic_counts : t -> int array
 (** Snapshot of the per-cell atomic counters. Raises [Invalid_argument]
     unless the instance is in [Atomic_counters] mode. *)
 
-val ops_handle : t -> Ops_intf.handle
-(** The instance as a uniform {!Ops_intf.S} structure: [mem] runs
-    through a {e fresh} atomic-mode rewrap of the core (reentrant,
-    probe-counted — {!Ops_intf.probes} reads the tally), while [insert]
-    and [delete] raise [Invalid_argument] — static tables are immutable,
-    and a driver that routes updates at one has made a wiring error.
-    [size] reports 0: a static instance does not carry its key count.
-    The dynamic counterpart is [Lc_dynamic.Dynamic.ops_handle]. *)
-
 val contention_exact : t -> Lc_cellprobe.Qdist.t -> Lc_cellprobe.Contention.result
 (** Exact contention of this structure under a query distribution. *)
 

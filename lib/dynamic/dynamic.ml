@@ -117,7 +117,7 @@ let mem t rng x =
           let d = l.replicas.(Rng.int rng (Array.length l.replicas)) in
           (* Same instrumented probes Dictionary.mem would make (feeding
              the table's per-step counters), plus the dictionary-wide
-             cumulative tally behind [probes] / [ops_handle]. *)
+             cumulative tally behind [probes]. *)
           let (module D : Lc_dict.Dict_intf.S) = Dictionary.core d in
           let probe ~step j =
             t.probe_count <- t.probe_count + 1;
@@ -278,19 +278,6 @@ let level_views t =
 
 let tombstone_keys t =
   Hashtbl.fold (fun x () acc -> x :: acc) t.deleted [] |> List.sort compare
-
-module Ops = struct
-  type nonrec t = t
-
-  let name _ = "lc-dyn"
-  let insert = insert
-  let delete = delete
-  let mem = mem
-  let size t = t.live
-  let probes = probes
-end
-
-let ops_handle t = Lc_dict.Ops_intf.Handle ((module Ops), t)
 
 type contention_summary = {
   total_cells : int;

@@ -150,11 +150,6 @@ val level_views : t -> level_view list
 val tombstone_keys : t -> int list
 (** The currently tombstoned keys, sorted ascending. *)
 
-val ops_handle : t -> Lc_dict.Ops_intf.handle
-(** The dictionary as a uniform {!Lc_dict.Ops_intf.S} structure (name
-    ["lc-dyn"]): real [insert]/[delete], [mem] counted by {!probes}.
-    The static counterpart is {!Lc_dict.Instance.ops_handle}. *)
-
 type contention_summary = {
   total_cells : int;
   per_level : (int * float) list;

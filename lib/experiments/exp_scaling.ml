@@ -14,6 +14,7 @@ module Tablefmt = Lc_analysis.Tablefmt
 module Experiment = Lc_analysis.Experiment
 module Usl = Lc_analysis.Usl
 module Scaling = Lc_perf.Scaling
+module Engine = Lc_parallel.Engine
 
 let t17 =
   {
@@ -64,10 +65,10 @@ let t17 =
               let art = Scaling.run ~seed spec in
               List.iter
                 (fun (p : Scaling.point) ->
-                  let ph = p.Scaling.p_phases in
-                  let wall = float_of_int ph.Scaling.wall_ns in
-                  let share part =
-                    if wall = 0. then 0. else 100. *. float_of_int part /. wall
+                  let ns = Engine.phase_ns p.Scaling.p_phases in
+                  let wall = float_of_int (ns Engine.Wall) in
+                  let share phase =
+                    if wall = 0. then 0. else 100. *. float_of_int (ns phase) /. wall
                   in
                   Tablefmt.add_row tbl
                     [
@@ -75,8 +76,8 @@ let t17 =
                       string_of_int p.Scaling.p_domains;
                       Printf.sprintf "%.0f" p.Scaling.throughput.Lc_perf.Artifact.mean;
                       Printf.sprintf "%.0f" p.Scaling.p_ns_per_query;
-                      Printf.sprintf "%.1f" (share ph.Scaling.probe_ns);
-                      Printf.sprintf "%.1f" (share ph.Scaling.idle_ns);
+                      Printf.sprintf "%.1f" (share Engine.Probe);
+                      Printf.sprintf "%.1f" (share Engine.Idle);
                       Printf.sprintf "%.2f" p.Scaling.p_gc.Scaling.minor_words_per_query;
                     ])
                 art.Scaling.points;

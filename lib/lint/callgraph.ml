@@ -16,8 +16,9 @@
      definition's qualified name, preferring same-file candidates and
      keeping *all* candidates when ambiguous (conservative).
    Calls through record fields, functor arguments, and first-class
-   modules (Ops_intf handles) resolve to nothing: those are the
-   documented opaque boundaries of the analysis. *)
+   modules (the Dict_intf.S cores unpacked from Instance.core) resolve
+   to nothing: those are the documented opaque boundaries of the
+   analysis. *)
 
 type node = {
   def : Checks.def;

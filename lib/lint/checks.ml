@@ -28,11 +28,11 @@
      own parameters and tail positions): returning a closure is the
      function's contract; allocating one mid-body is the bug. The same
      spine logic classifies closure sites for the [def] summaries.
-   - First-class-module dispatch (Ops_intf handles) and closures passed
-     as values are opaque edges: referencing a function *value* adds a
-     conservative call edge, but a call through a record field or a
-     packed module resolves to nothing. DESIGN.md §7 spells out the
-     boundary. *)
+   - First-class-module dispatch (the Dict_intf.S cores unpacked from
+     Instance.core) and closures passed as values are opaque edges:
+     referencing a function *value* adds a conservative call edge, but a
+     call through a record field or a packed module resolves to nothing.
+     DESIGN.md §7 spells out the boundary. *)
 
 open Typedtree
 

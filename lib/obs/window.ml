@@ -495,12 +495,7 @@ let prometheus_gauges t =
     gauge "engine_window_write_amp"
       "Cells written per key inserted over the last completed window" u.write_amp;
     gauge "engine_window_rebuild_p99_ns" "Windowed p99 level-rebuild duration (ns)"
-      u.rebuild_p99_ns;
-    gauge "engine_epoch" "Currently published epoch" (float_of_int u.u_epoch);
-    gauge "engine_retired_pending" "Retired levels awaiting reclamation"
-      (float_of_int u.u_retired);
-    gauge "engine_reader_lag" "Published epoch minus the slowest pinned reader's epoch"
-      (float_of_int u.u_reader_lag)
+      u.rebuild_p99_ns
   | _ -> ());
   (* GC gauges, present only when the window keeps a GC view. *)
   (match e with

@@ -211,13 +211,13 @@ val prometheus_gauges : t -> string
     [engine_window_p99_latency_ns] from the latest window — appended by
     the [/metrics] route after the merged snapshot's series. When the
     latest window carries an update view, also [engine_window_ups],
-    [engine_window_pubs_per_s], [engine_window_write_amp],
-    [engine_window_rebuild_p99_ns], [engine_epoch],
-    [engine_retired_pending] and [engine_reader_lag]. When it carries a
-    GC view, also [engine_window_alloc_per_query],
-    [engine_window_minor_words], [engine_window_promoted_words],
-    [engine_window_minor_collections], [engine_window_major_collections]
-    and [engine_gc_heap_words]. *)
+    [engine_window_pubs_per_s], [engine_window_write_amp] and
+    [engine_window_rebuild_p99_ns] (the epoch, retired-pending and
+    reader-lag gauges the view reads are registry gauges, so the
+    snapshot already exports them). When it carries a GC view, also
+    [engine_window_alloc_per_query], [engine_window_minor_words],
+    [engine_window_promoted_words], [engine_window_minor_collections],
+    [engine_window_major_collections] and [engine_gc_heap_words]. *)
 
 (** {2 JSON shapes} *)
 

@@ -175,96 +175,118 @@ let make_obs_probe ?sketch ~cost ~tally ~locks table (ids : metric_ids) shard =
    telemetry recording), seqlock window publishes, epoch pin/unpin
    (dynamic runs) — plus the residual [other] (loop overhead, the phase
    bookkeeping itself, GC pauses landing between windows) defined as
-   wall minus the attributed phases, so the five phases sum to the
+   wall minus the measured parts, so the in-wall phases sum to the
    worker's batch wall time *exactly, by construction*. [idle] is
    filled in by the orchestrator after the join: serve wall time minus
-   the worker's own batch wall (spawn/join skew and scheduler time).
+   the worker's own batch wall (spawn/join skew and scheduler time). *)
+type phase = Probe | Tally | Publish | Pin | Other | Wall | Idle
 
-   The record is plain (no atomics): each worker owns exactly one
-   element of the run's array, written only by that domain and read by
-   the orchestrator strictly after the join — same single-writer
-   discipline as the metric shards. *)
-type phase_stats = {
-  ph_domain : int;
-  mutable ph_probe_ns : int;
-  mutable ph_tally_ns : int;
-  mutable ph_publish_ns : int;
-  mutable ph_pin_ns : int;
-  mutable ph_other_ns : int;
-  mutable ph_wall_ns : int;
-  mutable ph_idle_ns : int;
-}
+(* A phase's place in the identity [parts + residual = total]. *)
+type role = Part | Residual | Total | Outside
 
-let fresh_phases domains =
-  Array.init domains (fun w ->
-      {
-        ph_domain = w;
-        ph_probe_ns = 0;
-        ph_tally_ns = 0;
-        ph_publish_ns = 0;
-        ph_pin_ns = 0;
-        ph_other_ns = 0;
-        ph_wall_ns = 0;
-        ph_idle_ns = 0;
-      })
+(* The phase set, declared once, in order. Everything that enumerates
+   phases derives from this table: a worker's accumulator slots and its
+   residual, the engine_phase_<name>_ns_total counters (registered in
+   this order), the totals' sum, the identity check and the "<name>_ns"
+   members of /scaling.json and the scaling artifact (in this order).
+   Every constructor of [phase] appears exactly once. *)
+let phase_table =
+  [|
+    (Probe, "probe", Part, "Worker ns inside the dictionary's mem (probe work)");
+    (Tally, "tally", Part, "Worker ns recording per-query telemetry");
+    (Publish, "publish", Part, "Worker ns in seqlock window publishes");
+    (Pin, "pin", Part, "Reader ns in epoch pin/unpin announcements");
+    (Other, "other", Residual, "Worker batch ns not attributed to a phase (residual)");
+    (Wall, "wall", Total, "Worker batch wall ns (sum of the in-wall phases)");
+    (Idle, "idle", Outside, "Serve wall ns minus worker batch wall, summed over workers");
+  |]
 
-type phase_metric_ids = {
-  p_probe_c : Metrics.counter;
-  p_tally_c : Metrics.counter;
-  p_publish_c : Metrics.counter;
-  p_pin_c : Metrics.counter;
-  p_other_c : Metrics.counter;
-  p_wall_c : Metrics.counter;
-  p_idle_c : Metrics.counter;
-}
+let phases = Array.to_list (Array.map (fun (p, _, _, _) -> p) phase_table)
 
-(* One shared name list so registration, the /scaling.json body and the
-   scaling artifact cannot drift apart. *)
-let phase_counter_names =
-  [
-    ("probe", "engine_phase_probe_ns_total");
-    ("tally", "engine_phase_tally_ns_total");
-    ("publish", "engine_phase_publish_ns_total");
-    ("pin", "engine_phase_pin_ns_total");
-    ("other", "engine_phase_other_ns_total");
-    ("wall", "engine_phase_wall_ns_total");
-    ("idle", "engine_phase_idle_ns_total");
-  ]
+let slot_where f =
+  let rec go i =
+    if i = Array.length phase_table then invalid_arg "Engine: phase missing from phase_table"
+    else if f phase_table.(i) then i
+    else go (i + 1)
+  in
+  go 0
+
+let slot p = slot_where (fun (q, _, _, _) -> q = p)
+let phase_name p = let _, name, _, _ = phase_table.(slot p) in name
+let phase_counter_name name = "engine_phase_" ^ name ^ "_ns_total"
+
+(* The slots the serving code writes, resolved once. *)
+let probe_slot = slot Probe
+let tally_slot = slot Tally
+let publish_slot = slot Publish
+let pin_slot = slot Pin
+let idle_slot = slot Idle
+let residual_slot = slot_where (fun (_, _, r, _) -> r = Residual)
+let total_slot = slot_where (fun (_, _, r, _) -> r = Total)
+
+(* Nanoseconds per phase, one slot per [phase_table] entry. A worker's
+   accumulator is one of these, plain (no atomics): each worker owns
+   exactly one element of the run's array, written only by that domain
+   and read by the orchestrator strictly after the join — same
+   single-writer discipline as the metric shards. *)
+type phase_totals = int array
+
+let fresh_phases domains = Array.init domains (fun _ -> Array.make (Array.length phase_table) 0)
+let phase_ns (t : phase_totals) p = t.(slot p)
+
+let sum_phases ts =
+  let s = Array.make (Array.length phase_table) 0 in
+  List.iter (Array.iteri (fun i v -> s.(i) <- s.(i) + v)) ts;
+  s
+
+let sum_roles (t : phase_totals) roles =
+  let s = ref 0 in
+  Array.iteri (fun i (_, _, r, _) -> if List.mem r roles then s := !s + t.(i)) phase_table;
+  !s
+
+(* The attribution identity: the parts and the residual sum to the
+   total. *)
+let check_phases t =
+  let parts = sum_roles t [ Part; Residual ] and total = t.(total_slot) in
+  if parts = total then Ok ()
+  else
+    let _, total_name, _, _ = phase_table.(total_slot) in
+    Error
+      (Printf.sprintf "phases sum to %d ns but %s is %d ns — attribution does not reconcile"
+         parts total_name total)
+
+(* One "<name>_ns" member per phase, in declaration order, checked
+   against the identity on decode. *)
+let phases_codec =
+  Lc_obs.Codec.(
+    keyed (List.map (fun p -> phase_name p ^ "_ns") phases) int
+    |> conv Array.to_list Array.of_list
+    |> check check_phases)
 
 let register_phase_metrics (o : Lc_obs.Obs.t) =
-  let c phase help = Metrics.counter o.metrics ~help (List.assoc phase phase_counter_names) in
-  {
-    p_probe_c = c "probe" "Worker ns inside the dictionary's mem (probe work)";
-    p_tally_c = c "tally" "Worker ns recording per-query telemetry";
-    p_publish_c = c "publish" "Worker ns in seqlock window publishes";
-    p_pin_c = c "pin" "Reader ns in epoch pin/unpin announcements";
-    p_other_c = c "other" "Worker batch ns not attributed to a phase (residual)";
-    p_wall_c = c "wall" "Worker batch wall ns (sum of the five phases)";
-    p_idle_c = c "idle" "Serve wall ns minus worker batch wall, summed over workers";
-  }
+  Array.map
+    (fun (_, name, _, help) -> Metrics.counter o.metrics ~help (phase_counter_name name))
+    phase_table
 
 (* Flush a worker's phase totals into its own shard, once, at batch end
    (before the final seqlock publish, so the monitor's last window sees
    them). Counters start at zero and each worker flushes exactly once,
-   so the registry totals are the sums over domains. *)
-let flush_phases shard (p : phase_metric_ids) (ph : phase_stats) =
-  Metrics.incr shard p.p_probe_c ph.ph_probe_ns;
-  Metrics.incr shard p.p_tally_c ph.ph_tally_ns;
-  Metrics.incr shard p.p_publish_c ph.ph_publish_ns;
-  Metrics.incr shard p.p_pin_c ph.ph_pin_ns;
-  Metrics.incr shard p.p_other_c ph.ph_other_ns;
-  Metrics.incr shard p.p_wall_c ph.ph_wall_ns
+   so the registry totals are the sums over domains; [idle] is still 0
+   here and is added by the orchestrator after the join. *)
+let flush_phases shard (ids : Metrics.counter array) (t : phase_totals) =
+  for i = 0 to Array.length ids - 1 do
+    Metrics.incr shard ids.(i) t.(i)
+  done
 
-(* Close a worker's phase record at batch end: [wall] is the enclosing
+(* Close a worker's accumulator at batch end: [wall] is the enclosing
    monotonic window, [pin] (dynamic readers) was accumulated inside the
    probe windows by [Epoch.mem_phased] and is carved out of probe here,
-   and [other] is the exact residual. *)
-let close_phases (ph : phase_stats) ~wall_ns ~pin_ns =
-  ph.ph_pin_ns <- pin_ns;
-  ph.ph_probe_ns <- ph.ph_probe_ns - pin_ns;
-  ph.ph_wall_ns <- wall_ns;
-  ph.ph_other_ns <-
-    wall_ns - ph.ph_probe_ns - ph.ph_tally_ns - ph.ph_publish_ns - ph.ph_pin_ns
+   and the residual is exact. *)
+let close_phases (t : phase_totals) ~wall_ns ~pin_ns =
+  t.(pin_slot) <- pin_ns;
+  t.(probe_slot) <- t.(probe_slot) - pin_ns;
+  t.(total_slot) <- wall_ns;
+  t.(residual_slot) <- wall_ns - sum_roles t [ Part ]
 
 (* ------------------------------------------------------------------ *)
 (* GC telemetry                                                         *)
@@ -449,8 +471,11 @@ module Monitor = struct
     mutable controller : Lc_control.Controller.t option;
   }
 
-  let create_for ?(ring = 512) ?(interval_s = 0.25) ?(publish_period = 256) ?(top_k = 16)
-      ?(alert_factor = 8.0) ?on_window ?journal ?on_alert ?obs ~domains ~space ~max_probes () =
+  (* Windows a monitor retains, oldest evicted. *)
+  let ring = 512
+
+  let create_for ?(interval_s = 0.25) ?(publish_period = 256) ?(top_k = 16)
+      ?(alert_factor = 8.0) ?on_window ?journal ?on_alert ~domains ~space ~max_probes () =
     if domains < 1 then invalid_arg "Monitor.create: domains must be >= 1";
     if interval_s <= 0.0 then invalid_arg "Monitor.create: interval_s must be > 0";
     if publish_period < 1 then invalid_arg "Monitor.create: publish_period must be >= 1";
@@ -465,7 +490,8 @@ module Monitor = struct
             builder)"
            (Journal.writers j) (domains + 2))
     | _ -> ());
-    let obs = match obs with Some o -> o | None -> Lc_obs.Obs.create () in
+    (* Its own handle: a monitor is single-use. *)
+    let obs = Lc_obs.Obs.create () in
     (* Register before sizing the seqlock buffers: Window.frozen copies
        only metrics that exist at creation time. The update metrics are
        registered unconditionally — a static run simply never touches
@@ -509,11 +535,11 @@ module Monitor = struct
       controller = None;
     }
 
-  let create ?ring ?interval_s ?publish_period ?top_k ?alert_factor ?on_window ?journal
-      ?on_alert ?obs ~domains inst =
+  let create ?interval_s ?publish_period ?top_k ?alert_factor ?on_window ?journal ?on_alert
+      ~domains inst =
     let (module D : Lc_dict.Dict_intf.S) = Instance.core inst in
-    create_for ?ring ?interval_s ?publish_period ?top_k ?alert_factor ?on_window ?journal
-      ?on_alert ?obs ~domains ~space:D.space ~max_probes:D.max_probes ()
+    create_for ?interval_s ?publish_period ?top_k ?alert_factor ?on_window ?journal ?on_alert
+      ~domains ~space:D.space ~max_probes:D.max_probes ()
 
   let obs t = t.obs
   let window t = t.window
@@ -843,26 +869,11 @@ module Monitor = struct
 
   type scaling = {
     sc_domains : int;
-    phases : int list;  (* ns per phase, in [phase_counter_names] order *)
+    phases : phase_totals;
     gc : int * int * int * (int * float * float * int * Window.gentry) list;
         (* minor, promoted and major words, then the GC windows *)
     coheat : Coheat.t option;
   }
-
-  (* The attribution invariant: the five in-wall phases sum to wall. *)
-  let phases_codec =
-    Codec.(
-      keyed (List.map (fun (phase, _) -> phase ^ "_ns") phase_counter_names) int
-      |> check (fun ns ->
-             let ns = List.combine (List.map fst phase_counter_names) ns in
-             let v phase = List.assoc phase ns in
-             let parts = v "probe" + v "tally" + v "publish" + v "pin" + v "other" in
-             if parts = v "wall" then Ok ()
-             else
-               Error
-                 (Printf.sprintf
-                    "phases sum to %d ns but wall is %d ns — attribution does not reconcile"
-                    parts (v "wall"))))
 
   let scaling_document =
     Codec.(
@@ -898,7 +909,7 @@ module Monitor = struct
     Codec.to_string scaling_document
       {
         sc_domains = t.domains;
-        phases = List.map (fun (_, counter) -> c counter) phase_counter_names;
+        phases = Array.map (fun (_, name, _, _) -> c (phase_counter_name name)) phase_table;
         gc =
           ( c gn.Window.minor_words_counter,
             c gn.Window.promoted_words_counter,
@@ -1075,7 +1086,7 @@ type outcome = {
   cells : Heavy.merged option;
   alert_windows : int;
   updates : update_stats option;
-  phases : phase_stats array option;
+  phases : phase_totals array option;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -1118,9 +1129,9 @@ type telemetry = {
   main_tl : Span.timeline;
   workers : (Metrics.shard * Span.timeline) array;
   builder : builder_obs option;
-  pids : phase_metric_ids;
+  pids : Metrics.counter array;
   gids : gc_metric_ids;
-  phase_recs : phase_stats array;
+  phase_recs : phase_totals array;
   gcursors : gc_cursor array;
 }
 
@@ -1237,8 +1248,8 @@ let instrumented_loop (t : telemetry) w ?publisher (src : source) batch =
       (* The phase stores below land after [t2]: the accounting
          overhead charges itself to the [other] residual, never to the
          phases it measures. *)
-      ph.ph_probe_ns <- ph.ph_probe_ns + Int64.to_int (Int64.sub t1 t0);
-      ph.ph_tally_ns <- ph.ph_tally_ns + Int64.to_int (Int64.sub t2 t1);
+      ph.(probe_slot) <- ph.(probe_slot) + Int64.to_int (Int64.sub t1 t0);
+      ph.(tally_slot) <- ph.(tally_slot) + Int64.to_int (Int64.sub t2 t1);
       match publisher with
       | None -> ()
       | Some p ->
@@ -1249,8 +1260,8 @@ let instrumented_loop (t : telemetry) w ?publisher (src : source) batch =
           let pb0 = Lc_obs.Clock.now_ns () in
           sample_gc shard t.gids gcur;
           p.publish !served;
-          ph.ph_publish_ns <-
-            ph.ph_publish_ns + Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) pb0)
+          ph.(publish_slot) <-
+            ph.(publish_slot) + Int64.to_int (Int64.sub (Lc_obs.Clock.now_ns ()) pb0)
         end)
     batch;
   sample_gc shard t.gids gcur;
@@ -1412,8 +1423,8 @@ let serve_domains ?monitor ?tel ?builder ?(settle = ignore) ~domains worker =
   | Some t ->
     Array.iter
       (fun ph ->
-        ph.ph_idle_ns <- max 0 (serve_wall_ns - ph.ph_wall_ns);
-        Metrics.incr t.main_shard t.pids.p_idle_c ph.ph_idle_ns)
+        ph.(idle_slot) <- max 0 (serve_wall_ns - ph.(total_slot));
+        Metrics.incr t.main_shard t.pids.(idle_slot) ph.(idle_slot))
       t.phase_recs;
     Option.iter
       (fun m ->

@@ -59,52 +59,77 @@ type result = {
 
     The scaling observatory's time-attribution layer: when a run is
     instrumented ([obs] or [monitor] present), every worker splits its
-    batch wall time into disjoint monotonic-clock phases, kept in a
-    plain record the worker alone writes (same single-writer discipline
-    as the metric shards) and read by the orchestrator strictly after
-    the join. The invariant tests assert is exact by construction:
+    batch wall time into disjoint monotonic-clock phases, accumulated
+    in a plain array the worker alone writes (same single-writer
+    discipline as the metric shards) and read by the orchestrator
+    strictly after the join. The invariant tests assert is exact by
+    construction:
 
     [probe + tally + publish + pin + other = wall].
 
-    [other] is the defined residual (loop overhead, the accounting
-    itself, GC pauses between windows); [idle] is serve wall minus the
-    worker's own batch wall (spawn/join skew), filled in post-join.
-    Totals are also flushed once per worker into the
-    [engine_phase_*_ns_total] counters, so [/metrics] and
-    [/scaling.json] carry the same numbers. The per-cell tally
-    increments (plain stores into the domain's own array) happen {e
-    inside} the dictionary's [mem], so they are attributed to probe
+    The phase set is declared once, as {!phase} and the ordered
+    {!phases}: each entry carries its name, its help text and its role
+    in that identity (a measured part, the residual, the total, or
+    outside it). Everything that enumerates phases derives from the
+    declaration — the accumulator and its residual, the
+    [engine_phase_<name>_ns_total] counters (flushed once per worker,
+    so [/metrics] and [/scaling.json] carry the same numbers), the sum
+    {!sum_phases}, the identity check {!check_phases} and the one
+    codec {!phases_codec} that both [/scaling.json] and the
+    ["lowcon-scaling"] artifact ({!Lc_perf.Scaling}) use. The per-cell
+    tally increments (plain stores into the domain's own array) happen
+    {e inside} the dictionary's [mem], so they are attributed to probe
     work — the probe phase is "time the hot path spent where contention
     lives". *)
 
-type phase_stats = {
-  ph_domain : int;  (** Worker index [0 .. domains-1]. *)
-  mutable ph_probe_ns : int;
+type phase =
+  | Probe
       (** Inside the dictionary's [mem] (cell reads, per-cell tallies,
           spin waits, sampled probe latency, sketch updates); for
-          dynamic runs, minus the pin phase below. *)
-  mutable ph_tally_ns : int;
+          dynamic runs, minus the pin phase. *)
+  | Tally
       (** Per-query telemetry recording: the latency observe, the query
           counter and the query's probe count, added to
           [engine_probes_total] once per query from the probe tally's
           delta (no per-probe counter work). *)
-  mutable ph_publish_ns : int;
+  | Publish
       (** Periodic seqlock window publishes + GC sampling + journal
           appends (the final batch-end publish is not charged). *)
-  mutable ph_pin_ns : int;
+  | Pin
       (** Epoch pin/unpin announcements ({!Lc_dynamic.Epoch.mem_phased});
           0 for static runs. *)
-  mutable ph_other_ns : int;  (** Exact residual: [wall] minus the above. *)
-  mutable ph_wall_ns : int;  (** The worker's batch wall time. *)
-  mutable ph_idle_ns : int;
-      (** Serve wall minus [ph_wall_ns], filled in after the join. *)
-}
+  | Other
+      (** The exact residual: [wall] minus the measured parts (loop
+          overhead, the accounting itself, GC pauses between windows). *)
+  | Wall  (** The worker's batch wall time: the identity's total. *)
+  | Idle
+      (** Serve wall minus the worker's batch wall (spawn/join skew),
+          filled in after the join; outside the identity. *)
 
-val phase_counter_names : (string * string) list
-(** [(phase, counter_name)] pairs for the seven
-    [engine_phase_*_ns_total] counters ([probe], [tally], [publish],
-    [pin], [other], [wall], [idle]) — shared by registration, the
-    [/scaling.json] body and the scaling artifact. *)
+val phases : phase list
+(** Every phase once, in declaration order — the order of the
+    counters' registration and of the ["<name>_ns"] JSON members. *)
+
+val phase_name : phase -> string
+(** ["probe"], ["tally"], ...: the counter is
+    [engine_phase_<name>_ns_total] and the JSON member ["<name>_ns"]. *)
+
+type phase_totals
+(** Nanoseconds per phase: one worker's accumulator, or a sum of them. *)
+
+val phase_ns : phase_totals -> phase -> int
+
+val sum_phases : phase_totals list -> phase_totals
+(** Slot-wise sum; all zero for [[]]. The identity is linear, so a sum
+    of reconciling totals reconciles. *)
+
+val check_phases : phase_totals -> (unit, string) Stdlib.result
+(** The identity: the parts and the residual sum to [wall], or an
+    [Error] saying by how much they miss. *)
+
+val phases_codec : phase_totals Lc_obs.Codec.t
+(** An object with one ["<name>_ns"] integer member per phase, in
+    {!phases} order; decoding also applies {!check_phases}. *)
 
 val gc_metric_names : Lc_obs.Window.gc_config
 (** Names of the per-domain GC allocation counters instrumented runs
@@ -124,7 +149,6 @@ module Monitor : sig
   type t
 
   val create :
-    ?ring:int ->
     ?interval_s:float ->
     ?publish_period:int ->
     ?top_k:int ->
@@ -132,16 +156,15 @@ module Monitor : sig
     ?on_window:(Lc_obs.Window.entry -> unit) ->
     ?journal:Lc_obs.Journal.t ->
     ?on_alert:(Lc_obs.Window.entry -> unit) ->
-    ?obs:Lc_obs.Obs.t ->
     domains:int ->
     Lc_dict.Instance.t ->
     t
   (** A monitor for one monitored {!run} over [inst] with [domains]
-      workers. Registers the engine metrics on [obs] (a fresh handle is
-      created when omitted) and sizes one window publisher per domain
-      plus the orchestrator.
+      workers. Registers the engine metrics on a fresh telemetry handle
+      (read it back with {!obs}), sizes one window publisher per domain
+      plus the orchestrator, and retains the last 512 windows, oldest
+      evicted.
 
-      - [ring] (default 512): windows retained, oldest evicted.
       - [interval_s] (default 0.25): monitor tick period — one window
         per tick.
       - [publish_period] (default 256): queries between a worker's
@@ -180,7 +203,6 @@ module Monitor : sig
       (create a fresh monitor per run, like a fresh [obs] handle). *)
 
   val create_for :
-    ?ring:int ->
     ?interval_s:float ->
     ?publish_period:int ->
     ?top_k:int ->
@@ -188,7 +210,6 @@ module Monitor : sig
     ?on_window:(Lc_obs.Window.entry -> unit) ->
     ?journal:Lc_obs.Journal.t ->
     ?on_alert:(Lc_obs.Window.entry -> unit) ->
-    ?obs:Lc_obs.Obs.t ->
     domains:int ->
     space:int ->
     max_probes:int ->
@@ -263,8 +284,7 @@ module Monitor : sig
   (** A decoded [/scaling.json] document. *)
 
   val scaling_document : scaling Lc_obs.Codec.document
-  (** Decoding checks the phase identity over {!phase_counter_names}
-      (the five in-wall phases sum to [wall_ns]) and that the co-heat
+  (** Decoding checks the phase identity ({!phases_codec}) and that the co-heat
       ratio is at least 0 and below 1. *)
 
   val control_schema_name : string
@@ -438,8 +458,8 @@ type outcome = {
   alert_windows : int;  (** Windows that fired the hotspot alert. *)
   updates : update_stats option;
       (** Builder-side statistics; [None] for {!Static} workloads. *)
-  phases : phase_stats array option;
-      (** Per-worker phase accounting, one element per worker domain;
+  phases : phase_totals array option;
+      (** Per-worker phase accounting, element [w] for worker [w];
           [None] exactly when the run was uninstrumented (no [obs], no
           [monitor]) — the obs-off hot path stays byte-identical. *)
 }

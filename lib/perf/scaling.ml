@@ -19,16 +19,6 @@ module Usl = Lc_analysis.Usl
 let schema_name = "lowcon-scaling"
 let schema_version = 1
 
-type phase_totals = {
-  probe_ns : int;
-  tally_ns : int;
-  publish_ns : int;
-  pin_ns : int;
-  other_ns : int;
-  wall_ns : int;
-  idle_ns : int;
-}
-
 type gc_totals = {
   minor_words : int;
   promoted_words : int;
@@ -41,7 +31,7 @@ type point = {
   p_trials : int;
   throughput : Artifact.ci;
   p_ns_per_query : float;
-  p_phases : phase_totals;
+  p_phases : Engine.phase_totals;
   p_gc : gc_totals;
   p_queries : int;
 }
@@ -100,40 +90,10 @@ let universe_for n = min (max (16 * n) (n * n)) (1 lsl 28)
 let combo_seed ~seed = seed + 7919
 let trial_seed ~seed ~domains t = seed + (1013 * domains) + (257 * (t + 1))
 
-let zero_phases =
-  { probe_ns = 0; tally_ns = 0; publish_ns = 0; pin_ns = 0; other_ns = 0; wall_ns = 0; idle_ns = 0 }
-
-let add_phases a b =
-  {
-    probe_ns = a.probe_ns + b.probe_ns;
-    tally_ns = a.tally_ns + b.tally_ns;
-    publish_ns = a.publish_ns + b.publish_ns;
-    pin_ns = a.pin_ns + b.pin_ns;
-    other_ns = a.other_ns + b.other_ns;
-    wall_ns = a.wall_ns + b.wall_ns;
-    idle_ns = a.idle_ns + b.idle_ns;
-  }
-
 let counter snap name =
   match Metrics.Snapshot.counter_value snap name with
   | Some v -> v
   | None -> failwith (Printf.sprintf "Scaling.run: counter %s missing from snapshot" name)
-
-(* The attribution invariant the artifact stands on: every worker's
-   five in-wall phases sum exactly to its batch wall time. *)
-let check_phases (phases : Engine.phase_stats array) =
-  Array.iter
-    (fun (ph : Engine.phase_stats) ->
-      let parts =
-        ph.Engine.ph_probe_ns + ph.Engine.ph_tally_ns + ph.Engine.ph_publish_ns
-        + ph.Engine.ph_pin_ns + ph.Engine.ph_other_ns
-      in
-      if parts <> ph.Engine.ph_wall_ns then
-        failwith
-          (Printf.sprintf
-             "Scaling.run: worker %d phases sum to %d ns but wall is %d ns — attribution \
-              does not reconcile" ph.Engine.ph_domain parts ph.Engine.ph_wall_ns))
-    phases
 
 let run_trial ~inst ~qd ~queries_per_domain ~domains ~seed =
   let obs = Lc_obs.Obs.create () in
@@ -145,25 +105,22 @@ let run_trial ~inst ~qd ~queries_per_domain ~domains ~seed =
     | Some p -> p
     | None -> failwith "Scaling.run: instrumented run carried no phase accounting"
   in
-  check_phases phases;
+  (* The attribution invariant the artifact stands on, per worker. *)
+  Array.iteri
+    (fun w ph ->
+      match Engine.check_phases ph with
+      | Ok () -> ()
+      | Error e -> failwith (Printf.sprintf "Scaling.run: worker %d %s" w e))
+    phases;
   let snap = Lc_obs.Obs.snapshot obs in
   let q = counter snap "engine_queries_total" in
   if q <> r.Engine.queries then
     failwith
       (Printf.sprintf "Scaling.run: engine_queries_total %d <> result queries %d — telemetry \
                        does not reconcile" q r.Engine.queries);
-  let sum f = Array.fold_left (fun a ph -> a + f ph) 0 phases in
   let gcn = Engine.gc_metric_names in
   ( r,
-    {
-      probe_ns = sum (fun ph -> ph.Engine.ph_probe_ns);
-      tally_ns = sum (fun ph -> ph.Engine.ph_tally_ns);
-      publish_ns = sum (fun ph -> ph.Engine.ph_publish_ns);
-      pin_ns = sum (fun ph -> ph.Engine.ph_pin_ns);
-      other_ns = sum (fun ph -> ph.Engine.ph_other_ns);
-      wall_ns = sum (fun ph -> ph.Engine.ph_wall_ns);
-      idle_ns = sum (fun ph -> ph.Engine.ph_idle_ns);
-    },
+    Engine.sum_phases (Array.to_list phases),
     ( counter snap gcn.Window.minor_words_counter,
       counter snap gcn.Window.promoted_words_counter,
       counter snap gcn.Window.major_words_counter ) )
@@ -212,9 +169,7 @@ let run ?(progress = fun (_ : string) -> ()) ~seed spec =
         in
         let pick f = List.map f outs in
         let p_queries = List.fold_left (fun a (r, _, _) -> a + r.Engine.queries) 0 outs in
-        let p_phases =
-          List.fold_left (fun a (_, p, _) -> add_phases a p) zero_phases outs
-        in
+        let p_phases = Engine.sum_phases (pick (fun (_, p, _) -> p)) in
         let gsum f = List.fold_left (fun a (_, _, g) -> a + f g) 0 outs in
         let minor_words = gsum (fun (m, _, _) -> m) in
         {
@@ -257,27 +212,6 @@ let run ?(progress = fun (_ : string) -> ()) ~seed spec =
 
 (* ---------------- the document ---------------- *)
 
-let phases_codec =
-  Codec.(
-    obj (fun probe_ns tally_ns publish_ns pin_ns other_ns wall_ns idle_ns ->
-        { probe_ns; tally_ns; publish_ns; pin_ns; other_ns; wall_ns; idle_ns })
-    |> field "probe_ns" (fun p -> p.probe_ns) int
-    |> field "tally_ns" (fun p -> p.tally_ns) int
-    |> field "publish_ns" (fun p -> p.publish_ns) int
-    |> field "pin_ns" (fun p -> p.pin_ns) int
-    |> field "other_ns" (fun p -> p.other_ns) int
-    |> field "wall_ns" (fun p -> p.wall_ns) int
-    |> field "idle_ns" (fun p -> p.idle_ns) int
-    |> seal
-    |> check (fun p ->
-           let parts = p.probe_ns + p.tally_ns + p.publish_ns + p.pin_ns + p.other_ns in
-           if parts = p.wall_ns then Ok ()
-           else
-             Error
-               (Printf.sprintf
-                  "phases sum to %d ns but wall_ns is %d — attribution does not reconcile" parts
-                  p.wall_ns)))
-
 let gc_codec =
   Codec.(
     obj (fun minor_words promoted_words major_words minor_words_per_query ->
@@ -296,7 +230,7 @@ let point_codec =
     |> field "trials" (fun p -> p.p_trials) int
     |> field "throughput" (fun p -> p.throughput) Artifact.ci_codec
     |> field "ns_per_query" (fun p -> p.p_ns_per_query) float
-    |> field "phases" (fun p -> p.p_phases) phases_codec
+    |> field "phases" (fun p -> p.p_phases) Engine.phases_codec
     |> field "gc" (fun p -> p.p_gc) gc_codec
     |> field "queries" (fun p -> p.p_queries) int
     |> seal
@@ -404,17 +338,16 @@ let render (t : t) =
        "probe%" "tally%" "publish%" "pin%" "other%" "idle%" "alloc/q");
   List.iter
     (fun p ->
-      let share x =
-        if p.p_phases.wall_ns = 0 then 0.0
-        else 100.0 *. float_of_int x /. float_of_int p.p_phases.wall_ns
+      let wall = Engine.phase_ns p.p_phases Engine.Wall in
+      let share phase =
+        if wall = 0 then 0.0
+        else 100.0 *. float_of_int (Engine.phase_ns p.p_phases phase) /. float_of_int wall
       in
       Buffer.add_string b
         (Printf.sprintf "%8d %12.0f %10.1f %7.1f %7.1f %8.1f %6.1f %7.1f %7.1f %9.2f\n"
-           p.p_domains p.throughput.Artifact.mean p.p_ns_per_query
-           (share p.p_phases.probe_ns) (share p.p_phases.tally_ns)
-           (share p.p_phases.publish_ns) (share p.p_phases.pin_ns)
-           (share p.p_phases.other_ns) (share p.p_phases.idle_ns)
-           p.p_gc.minor_words_per_query))
+           p.p_domains p.throughput.Artifact.mean p.p_ns_per_query (share Engine.Probe)
+           (share Engine.Tally) (share Engine.Publish) (share Engine.Pin) (share Engine.Other)
+           (share Engine.Idle) p.p_gc.minor_words_per_query))
     t.points;
   (match (t.fit, t.fit_error) with
   | Some f, _ ->

@@ -23,23 +23,6 @@ val schema_name : string
 
 val schema_version : int
 
-type phase_totals = {
-  probe_ns : int;
-      (** Worker ns inside the dictionary's [mem], summed over workers
-          and trials (pin time excluded for dynamic runs). *)
-  tally_ns : int;  (** Per-query telemetry recording. *)
-  publish_ns : int;  (** Seqlock window publishes + GC sampling. *)
-  pin_ns : int;  (** Epoch pin/unpin announcements; 0 for static runs. *)
-  other_ns : int;  (** Residual: loop overhead, accounting, GC pauses. *)
-  wall_ns : int;
-      (** Total worker batch wall; equals the sum of the five phases
-          above by construction (checked per worker before a trial is
-          believed). *)
-  idle_ns : int;  (** Serve wall minus batch wall, summed over workers. *)
-}
-(** Engine phase accounting ({!Lc_parallel.Engine.phase_stats}) summed
-    over workers and trials for one sweep point. *)
-
 type gc_totals = {
   minor_words : int;  (** Minor-heap words allocated by worker domains. *)
   promoted_words : int;
@@ -55,7 +38,11 @@ type point = {
   p_trials : int;
   throughput : Artifact.ci;  (** Queries/s; one sample per trial. *)
   p_ns_per_query : float;  (** Mean over trials. *)
-  p_phases : phase_totals;
+  p_phases : Lc_parallel.Engine.phase_totals;
+      (** The engine's phase accounting summed over workers and trials:
+          {!Lc_parallel.Engine.phase_ns} reads one phase. [probe]
+          excludes pin time for dynamic runs, [other] is the residual,
+          [idle] lies outside the identity the sums keep. *)
   p_gc : gc_totals;
   p_queries : int;  (** Total queries across the point's trials. *)
 }
@@ -102,16 +89,19 @@ val run : ?progress:(string -> unit) -> seed:int -> spec -> t
     shared by every point so throughput(n) compares like against like;
     each trial runs against a fresh telemetry handle. Per trial, the
     engine's telemetry counters are reconciled exactly against the
-    result totals and each worker's phase record is checked to sum to
-    its batch wall time — a sweep whose attribution does not reconcile
-    raises instead of fitting garbage. Raises [Invalid_argument] on a
-    degenerate spec, [Failure] on reconciliation mismatch. *)
+    result totals and each worker's phase accounting must pass
+    {!Lc_parallel.Engine.check_phases} — a sweep whose attribution does
+    not reconcile raises instead of fitting garbage. Raises
+    [Invalid_argument] on a degenerate spec, [Failure] on
+    reconciliation mismatch. *)
 
 val document : t Lc_obs.Codec.document
-(** The ["lowcon-scaling"] v1 shape. Decoding checks point ordering,
-    each point's phase identity, the fit/fit_error exclusivity, and
-    recomputes the summary from the decoded points — a tampered or
-    truncated document is rejected with a path-qualified reason. *)
+(** The ["lowcon-scaling"] v1 shape; each point's ["phases"] object is
+    {!Lc_parallel.Engine.phases_codec}, the one [/scaling.json] uses.
+    Decoding checks point ordering, each point's phase identity, the
+    fit/fit_error exclusivity, and recomputes the summary from the
+    decoded points — a tampered or truncated document is rejected with
+    a path-qualified reason. *)
 
 val to_string : t -> string
 (** Raises [Failure] on non-finite floats, like {!Artifact.to_string}. *)

@@ -32,14 +32,6 @@ let structure ?obs rng ~universe ~keys = function
   | s -> failwith (Printf.sprintf "unknown structure %S (want one of %s)" s
                      (String.concat ", " structure_names))
 
-let ops_handle ?small_level_boost rng ~universe ~keys name =
-  if String.equal name dynamic_name then begin
-    let d = Lc_dynamic.Dynamic.create ?small_level_boost rng ~universe () in
-    Array.iter (fun k -> Lc_dynamic.Dynamic.insert d k) keys;
-    Lc_dynamic.Dynamic.ops_handle d
-  end
-  else Lc_dict.Instance.ops_handle (structure rng ~universe ~keys name)
-
 let workload rng ~universe ~keys spec =
   let negs () = Keyset.negatives rng ~universe ~keys ~count:(8 * Array.length keys) in
   match String.split_on_char ':' spec with

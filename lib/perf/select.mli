@@ -24,19 +24,6 @@ val structure :
     (currently ["lc"]'s construction spans); other structures ignore
     it. Raises [Failure] on an unknown name. *)
 
-val ops_handle :
-  ?small_level_boost:int ->
-  Lc_prim.Rng.t ->
-  universe:int ->
-  keys:int array ->
-  string ->
-  Lc_dict.Ops_intf.handle
-(** The named structure as a uniform {!Lc_dict.Ops_intf.S} handle,
-    preloaded with [keys]: {!dynamic_name} builds a (sequential)
-    [Lc_dynamic.Dynamic] and inserts the keys; any {!structure} name
-    builds the static instance (updates raise, by design).
-    [small_level_boost] applies to the dynamic structure only. *)
-
 val workload :
   Lc_prim.Rng.t -> universe:int -> keys:int array -> string -> Lc_cellprobe.Qdist.t
 (** Parse a workload spec: ['pos'], ['neg'], ['point'], ['mix:P'],

@@ -138,21 +138,6 @@ let apply t rng ops =
     ops;
   (!inserts, !deletes, !hits)
 
-let apply_handle h rng ops =
-  let inserts = ref 0 and deletes = ref 0 and hits = ref 0 in
-  Array.iter
-    (fun op ->
-      match op with
-      | Insert x ->
-        Lc_dict.Ops_intf.insert h x;
-        incr inserts
-      | Delete x ->
-        Lc_dict.Ops_intf.delete h x;
-        incr deletes
-      | Query x -> if Lc_dict.Ops_intf.mem h rng x then incr hits)
-    ops;
-  (!inserts, !deletes, !hits)
-
 let replay_oracle ops =
   let present = Hashtbl.create 256 in
   Array.map

@@ -91,13 +91,6 @@ val apply :
     returns [(inserts, deletes, query_hits)] — the consumer used by the
     tests to cross-check against a model set. *)
 
-val apply_handle :
-  Lc_dict.Ops_intf.handle -> Lc_prim.Rng.t -> op array -> int * int * int
-(** {!apply} generalised to any {!Lc_dict.Ops_intf.S} structure — the
-    one consumer that addresses static instances and the dynamic
-    dictionary uniformly. Static handles raise on the first update op,
-    by design. *)
-
 val replay_oracle : op array -> bool array
 (** The reference semantics: the expected result of each [Query] when
     the stream is applied to an initially-empty set (entries for

@@ -1182,6 +1182,68 @@ let test_updates_json_settles_after_join () =
     (geti "retired_pending");
   checki "/updates.json reader_lag settled" 0 (geti "reader_lag")
 
+(* The text exposition allows one # TYPE line per metric family. The
+   window's gauges must add only families of their own, never one the
+   registry snapshot in the same /metrics body already exports — in a
+   static run and in a dynamic one, whose last window carries the
+   update view. *)
+let check_one_type_per_family what mon =
+  let body = (List.assoc "/metrics" (Engine.Monitor.routes mon) ()).Http.body in
+  let families =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | "#" :: "TYPE" :: family :: _ -> Some family
+        | _ -> None)
+      (String.split_on_char '\n' body)
+  in
+  checkb (what ^ ": families exported") true (families <> []);
+  List.iter
+    (fun f ->
+      checki
+        (Printf.sprintf "%s: # TYPE lines for %s" what f)
+        1
+        (List.length (List.filter (String.equal f) families)))
+    (List.sort_uniq compare families);
+  families
+
+let test_metrics_one_type_per_family () =
+  let keys, inst = lc_fixture 47 in
+  let qd = Qdist.uniform ~name:"pos" keys in
+  let mon = Engine.Monitor.create ~interval_s:0.02 ~domains:2 inst in
+  ignore (run_monitored ~monitor:mon ~domains:2 ~queries_per_domain:2_000 ~seed:12 inst qd);
+  ignore (check_one_type_per_family "static" mon : string list);
+  let module Epoch = Lc_dynamic.Epoch in
+  let module Opstream = Lc_workload.Opstream in
+  let rng = Rng.create 48 in
+  let keys = Keyset.random rng ~universe ~n in
+  let epoch = Epoch.create rng ~universe () in
+  Array.iter (Epoch.insert epoch) keys;
+  Epoch.publish epoch;
+  let snap = Epoch.current epoch in
+  let ops =
+    Opstream.generate
+      ~mix:(Opstream.read_write_mix ~read_fraction:0.9)
+      ~initial_pool:keys rng ~universe ~length:4_000 ~working_set:(2 * n)
+  in
+  let mon =
+    Engine.Monitor.create_for ~interval_s:0.02 ~domains:2 ~space:(Epoch.space snap)
+      ~max_probes:(Epoch.max_probes snap) ()
+  in
+  let o =
+    Engine.run
+      (Engine.Config.make ~monitor:mon ~domains:2 ~seed:13 ())
+      (Engine.Dynamic { epoch; ops; publish_every = 64 })
+  in
+  checkb "the last window carries the update view" true
+    (match List.rev o.Engine.windows with
+    | e :: _ -> e.Window.updates <> None
+    | [] -> false);
+  let families = check_one_type_per_family "dynamic" mon in
+  List.iter
+    (fun f -> checkb (f ^ " still exported") true (List.mem f families))
+    [ "engine_epoch"; "engine_retired_pending"; "engine_reader_lag"; "engine_window_ups" ]
+
 (* ------------------------------------------------------------------ *)
 (* Build-stage telemetry                                                *)
 (* ------------------------------------------------------------------ *)
@@ -1308,6 +1370,8 @@ let () =
           Alcotest.test_case "updates.json both shapes" `Quick test_updates_json_route;
           Alcotest.test_case "updates.json settles after the join" `Quick
             test_updates_json_settles_after_join;
+          Alcotest.test_case "metrics: one TYPE line per family" `Quick
+            test_metrics_one_type_per_family;
         ] );
       ( "engine",
         [

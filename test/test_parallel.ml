@@ -404,9 +404,24 @@ let test_run_rejects_bad_arguments () =
    batch wall exactly — probe + tally + publish + pin + other = wall by
    construction — flush the same totals into the engine_phase_*
    counters, and stay [None] (hot path untouched) when uninstrumented. *)
-let phase_parts (p : Engine.phase_stats) =
-  p.Engine.ph_probe_ns + p.Engine.ph_tally_ns + p.Engine.ph_publish_ns + p.Engine.ph_pin_ns
-  + p.Engine.ph_other_ns
+let phase_parts p =
+  let ns = Engine.phase_ns p in
+  ns Engine.Probe + ns Engine.Tally + ns Engine.Publish + ns Engine.Pin + ns Engine.Other
+
+(* Every declared phase's flushed engine_phase_<name>_ns_total counter
+   must equal the sum of the worker records it came from. *)
+let check_phase_counters obs phases =
+  let snap = Lc_obs.Obs.snapshot obs in
+  List.iter
+    (fun phase ->
+      let name = Printf.sprintf "engine_phase_%s_ns_total" (Engine.phase_name phase) in
+      match Lc_obs.Metrics.Snapshot.counter_value snap name with
+      | None -> Alcotest.failf "counter %s missing" name
+      | Some v ->
+        checki (name ^ " = record sum")
+          (Array.fold_left (fun a p -> a + Engine.phase_ns p phase) 0 phases)
+          v)
+    Engine.phases
 
 let test_phase_accounting_static () =
   let rng, keys, inst = lc_fixture 21 in
@@ -421,34 +436,15 @@ let test_phase_accounting_static () =
   | Some phases ->
     checki "one record per worker" domains (Array.length phases);
     Array.iteri
-      (fun w (p : Engine.phase_stats) ->
-        checki (Printf.sprintf "worker %d index" w) w p.Engine.ph_domain;
-        checki
-          (Printf.sprintf "worker %d phases sum to wall" w)
-          p.Engine.ph_wall_ns (phase_parts p);
-        checki (Printf.sprintf "worker %d static pin is 0" w) 0 p.Engine.ph_pin_ns;
-        checkb (Printf.sprintf "worker %d probe time positive" w) true
-          (p.Engine.ph_probe_ns > 0);
-        checkb (Printf.sprintf "worker %d idle non-negative" w) true
-          (p.Engine.ph_idle_ns >= 0))
+      (fun w p ->
+        let ns = Engine.phase_ns p in
+        checki (Printf.sprintf "worker %d phases sum to wall" w) (ns Engine.Wall) (phase_parts p);
+        checkb (Printf.sprintf "worker %d identity check" w) true (Engine.check_phases p = Ok ());
+        checki (Printf.sprintf "worker %d static pin is 0" w) 0 (ns Engine.Pin);
+        checkb (Printf.sprintf "worker %d probe time positive" w) true (ns Engine.Probe > 0);
+        checkb (Printf.sprintf "worker %d idle non-negative" w) true (ns Engine.Idle >= 0))
       phases;
-    (* The flushed counters must agree with the records they came from. *)
-    let snap = Lc_obs.Obs.snapshot obs in
-    let counter name =
-      match Lc_obs.Metrics.Snapshot.counter_value snap name with
-      | Some v -> v
-      | None -> Alcotest.failf "counter %s missing" name
-    in
-    let sum f = Array.fold_left (fun a p -> a + f p) 0 phases in
-    checki "wall counter = record sum"
-      (sum (fun p -> p.Engine.ph_wall_ns))
-      (counter "engine_phase_wall_ns_total");
-    checki "probe counter = record sum"
-      (sum (fun p -> p.Engine.ph_probe_ns))
-      (counter "engine_phase_probe_ns_total");
-    checki "idle counter = record sum"
-      (sum (fun p -> p.Engine.ph_idle_ns))
-      (counter "engine_phase_idle_ns_total")
+    check_phase_counters obs phases
 
 let test_phase_accounting_dynamic_pins () =
   let module Epoch = Lc_dynamic.Epoch in
@@ -472,13 +468,12 @@ let test_phase_accounting_dynamic_pins () =
   | Some phases ->
     checki "one record per worker" domains (Array.length phases);
     Array.iteri
-      (fun w (p : Engine.phase_stats) ->
-        checki
-          (Printf.sprintf "worker %d phases sum to wall" w)
-          p.Engine.ph_wall_ns (phase_parts p);
-        checkb (Printf.sprintf "worker %d pin time positive" w) true
-          (p.Engine.ph_pin_ns > 0))
-      phases
+      (fun w p ->
+        let ns = Engine.phase_ns p in
+        checki (Printf.sprintf "worker %d phases sum to wall" w) (ns Engine.Wall) (phase_parts p);
+        checkb (Printf.sprintf "worker %d pin time positive" w) true (ns Engine.Pin > 0))
+      phases;
+    check_phase_counters obs phases
 
 let test_phase_accounting_off_when_uninstrumented () =
   let _, keys, inst = lc_fixture 25 in

@@ -519,12 +519,11 @@ let test_scaling_run_reconciles () =
         (Printf.sprintf "points[%d] queries" i)
         ((i + 1) * 300 * 2)
         p.Scaling.p_queries;
-      let ph = p.Scaling.p_phases in
+      let ns = Engine.phase_ns p.Scaling.p_phases in
       checki
         (Printf.sprintf "points[%d] phases sum to wall" i)
-        ph.Scaling.wall_ns
-        (ph.Scaling.probe_ns + ph.Scaling.tally_ns + ph.Scaling.publish_ns
-        + ph.Scaling.pin_ns + ph.Scaling.other_ns);
+        (ns Engine.Wall)
+        (ns Engine.Probe + ns Engine.Tally + ns Engine.Publish + ns Engine.Pin + ns Engine.Other);
       checkb (Printf.sprintf "points[%d] throughput positive" i) true
         (p.Scaling.throughput.Artifact.mean > 0.0);
       checkb (Printf.sprintf "points[%d] alloc gauge sane" i) true
@@ -589,15 +588,23 @@ let test_scaling_rejects_malformed () =
    with
   | Ok _ -> Alcotest.fail "descending domain counts accepted"
   | Error e -> checkb "ordering error" true (contains "ascending" e));
-  (* A point whose phase attribution does not reconcile. *)
-  let broken =
-    match t.Scaling.points with
-    | p :: rest ->
-      { p with Scaling.p_phases = { p.Scaling.p_phases with Scaling.probe_ns = p.Scaling.p_phases.Scaling.probe_ns + 1 } }
-      :: rest
-    | [] -> assert false
+  (* A point whose phase attribution does not reconcile: the first
+     point's probe_ns, one more in the written document. *)
+  let module Json = Lc_obs.Json in
+  let rec bump path (j : Json.t) =
+    match (path, j) with
+    | [], Json.Int v -> Json.Int (v + 1)
+    | k :: rest, Json.Obj kvs ->
+      Json.Obj (List.map (fun (k', v) -> (k', if k' = k then bump rest v else v)) kvs)
+    | "0" :: rest, Json.List (x :: xs) -> Json.List (bump rest x :: xs)
+    | _ -> Alcotest.fail "no such member to perturb"
   in
-  match Scaling.of_string (Scaling.to_string { t with Scaling.points = broken }) with
+  let broken =
+    match Json.parse (Scaling.to_string t) with
+    | Ok j -> Json.to_string (bump [ "points"; "0"; "phases"; "probe_ns" ] j)
+    | Error e -> Alcotest.failf "written artifact does not parse: %s" e
+  in
+  match Scaling.of_string broken with
   | Ok _ -> Alcotest.fail "non-reconciling phases accepted"
   | Error e -> checkb "reconciliation error" true (contains "reconcile" e)
 

@@ -200,26 +200,6 @@ let test_opstream_initial_pool () =
        false
      with Invalid_argument _ -> true)
 
-let test_apply_handle_uniform () =
-  let rng = Rng.create 24 in
-  let ops = Opstream.generate rng ~universe ~length:800 ~working_set:60 in
-  (* The dynamic handle agrees with the direct consumer... *)
-  let t = Lc_dynamic.Dynamic.create (Rng.create 25) ~universe () in
-  let direct = Opstream.apply t (Rng.create 26) ops in
-  let t' = Lc_dynamic.Dynamic.create (Rng.create 25) ~universe () in
-  let via_handle =
-    Opstream.apply_handle (Lc_dynamic.Dynamic.ops_handle t') (Rng.create 26) ops
-  in
-  checkb "dynamic handle = direct apply" true (direct = via_handle);
-  (* ...and a static handle refuses the first update, by design. *)
-  let keys = Keyset.random (Rng.create 27) ~universe ~n:64 in
-  let h = Lc_perf.Select.ops_handle (Rng.create 28) ~universe ~keys "binary" in
-  checkb "static handle rejects updates" true
-    (try
-       ignore (Opstream.apply_handle h (Rng.create 29) ops);
-       false
-     with Invalid_argument _ -> true)
-
 let test_opstream_validates () =
   let rng = Rng.create 18 in
   let raised =
@@ -362,7 +342,6 @@ let () =
           Alcotest.test_case "counts" `Quick test_opstream_counts;
           Alcotest.test_case "split round-robin" `Quick test_opstream_split_round_robin;
           Alcotest.test_case "initial pool" `Quick test_opstream_initial_pool;
-          Alcotest.test_case "uniform ops handle" `Quick test_apply_handle_uniform;
         ] );
       ( "time-varying",
         [
