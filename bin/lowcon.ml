@@ -15,11 +15,30 @@ module Instance = Lc_dict.Instance
 module Keyset = Lc_workload.Keyset
 module Stats = Lc_analysis.Stats
 
+(* Every count and period flag takes a positive number, so 0, a
+   negative or a non-number is a usage error (exit 2) that names the
+   flag, never an exception from deep in the library. *)
+let positive_int =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some v when v > 0 -> Ok v
+        | _ -> Error (Printf.sprintf "%S is not a positive integer" s)),
+      Format.pp_print_int )
+
+let positive_float =
+  Arg.conv'
+    ( (fun s ->
+        match float_of_string_opt s with
+        | Some v when v > 0.0 && Float.is_finite v -> Ok v
+        | _ -> Error (Printf.sprintf "%S is not a positive number" s)),
+      Format.pp_print_float )
+
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let n_arg =
-  Arg.(value & opt int 1024 & info [ "n"; "size" ] ~docv:"N" ~doc:"Number of keys.")
+  Arg.(value & opt positive_int 1024 & info [ "n"; "size" ] ~docv:"N" ~doc:"Number of keys.")
 
 let universe_arg =
   Arg.(
@@ -52,7 +71,7 @@ let parse_dist rng ~universe ~keys spec = Lc_perf.Select.workload rng ~universe 
 
 let with_errors f =
   try `Ok (f ()) with
-  | Failure msg -> `Error (false, msg)
+  | Failure msg | Invalid_argument msg -> `Error (false, msg)
   | Lc_core.Dictionary.Build_failed { stage; trials; detail } ->
     `Error
       ( false,
@@ -134,7 +153,10 @@ let compare_cmd =
 (* ------------------------------------------------------------------ *)
 
 let m_arg =
-  Arg.(value & opt int 256 & info [ "m"; "concurrency" ] ~docv:"M" ~doc:"Concurrent queries per trial.")
+  Arg.(
+    value
+    & opt positive_int 256
+    & info [ "m"; "concurrency" ] ~docv:"M" ~doc:"Concurrent queries per trial.")
 
 let hotspot seed n universe_opt m dist =
   with_errors @@ fun () ->
@@ -165,12 +187,15 @@ let hotspot_cmd =
 (* ------------------------------------------------------------------ *)
 
 let domains_arg =
-  Arg.(value & opt int 4 & info [ "domains" ] ~docv:"M" ~doc:"Worker domains for the serving run.")
+  Arg.(
+    value
+    & opt positive_int 4
+    & info [ "domains" ] ~docv:"M" ~doc:"Worker domains for the serving run.")
 
 let queries_arg =
   Arg.(
     value
-    & opt int 4000
+    & opt positive_int 4000
     & info [ "queries" ] ~docv:"Q" ~doc:"Queries per domain in the serving run.")
 
 let cost_arg =
@@ -270,7 +295,7 @@ module Window = Lc_obs.Window
 let window_arg =
   Arg.(
     value
-    & opt float 0.25
+    & opt positive_float 0.25
     & info [ "window" ] ~docv:"SECONDS" ~doc:"Monitor tick period — one window per tick.")
 
 let port_arg =
@@ -284,7 +309,10 @@ let port_arg =
            (0 picks an ephemeral port).")
 
 let top_k_arg =
-  Arg.(value & opt int 16 & info [ "top-k" ] ~docv:"K" ~doc:"Hot-cell sketch capacity per worker.")
+  Arg.(
+    value
+    & opt positive_int 16
+    & info [ "top-k" ] ~docv:"K" ~doc:"Hot-cell sketch capacity per worker.")
 
 let alert_arg =
   Arg.(
@@ -324,7 +352,7 @@ let dump_on_alert_arg =
 let journal_capacity_arg =
   Arg.(
     value
-    & opt int 1024
+    & opt positive_int 1024
     & info [ "journal-capacity" ] ~docv:"EVENTS"
         ~doc:"Flight-recorder ring capacity per recording domain (oldest events overwritten).")
 
@@ -900,17 +928,17 @@ module Scaling = Lc_perf.Scaling
 let max_domains_arg =
   Arg.(
     value
-    & opt int 4
+    & opt positive_int 4
     & info [ "max-domains" ] ~docv:"M" ~doc:"Sweep domain counts 1 through $(docv).")
 
 let scale_queries_arg =
   Arg.(
     value
-    & opt int 2000
+    & opt positive_int 2000
     & info [ "queries" ] ~docv:"Q" ~doc:"Queries per domain per trial.")
 
 let scale_trials_arg =
-  Arg.(value & opt int 3 & info [ "trials" ] ~docv:"T" ~doc:"Trials per sweep point.")
+  Arg.(value & opt positive_int 3 & info [ "trials" ] ~docv:"T" ~doc:"Trials per sweep point.")
 
 let scale_out_arg =
   Arg.(
@@ -920,7 +948,6 @@ let scale_out_arg =
 
 let scale seed n dist structure max_domains queries trials out =
   with_errors @@ fun () ->
-  if max_domains < 1 then failwith "--max-domains must be >= 1";
   if structure = Lc_perf.Select.dynamic_name then
     failwith "lowcon scale sweeps static read-side serving; lc-dyn is not supported here";
   let spec =

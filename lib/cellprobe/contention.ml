@@ -44,10 +44,7 @@ let exact ~cells ~qdist ~spec =
           let tbl = step_accs.(t) in
           match st with
           | Spec.Point j -> add_mass tbl (j, 1, 1) qx
-          | Spec.Stride { base; stride; count } -> add_mass tbl (base, stride, count) qx
-          | Spec.Uniform cs ->
-            let w = qx /. float_of_int (Array.length cs) in
-            Array.iter (fun j -> add_mass tbl (j, 1, 1) w) cs)
+          | Spec.Stride { base; stride; count } -> add_mass tbl (base, stride, count) qx)
         plan)
     support;
   let per_cell = Array.make cells 0.0 in

@@ -2,7 +2,6 @@ module Rng = Lc_prim.Rng
 
 type step =
   | Point of int
-  | Uniform of int array
   | Stride of { base : int; stride : int; count : int }
 
 type t = step array
@@ -10,21 +9,16 @@ type t = step array
 let step_cells st =
   match st with
   | Point j -> Seq.return (j, 1.0)
-  | Uniform cells ->
-    let p = 1.0 /. float_of_int (Array.length cells) in
-    Seq.map (fun j -> (j, p)) (Array.to_seq cells)
   | Stride { base; stride; count } ->
     let p = 1.0 /. float_of_int count in
     Seq.map (fun i -> (base + (i * stride), p)) (Seq.init count Fun.id)
 
 let step_support_size = function
   | Point _ -> 1
-  | Uniform cells -> Array.length cells
   | Stride { count; _ } -> count
 
 let sample_step rng = function
   | Point j -> j
-  | Uniform cells -> Rng.choose rng cells
   | Stride { base; stride; count } -> base + (stride * Rng.int rng count)
 
 let probes t = Array.length t
@@ -37,12 +31,6 @@ let validate ~cells spec =
   let check_step st =
     match st with
     | Point j -> check_cell j
-    | Uniform cs ->
-      if Array.length cs = 0 then Error "empty Uniform step"
-      else
-        Array.fold_left
-          (fun acc j -> match acc with Error _ -> acc | Ok () -> check_cell j)
-          (Ok ()) cs
     | Stride { base; stride; count } ->
       if count < 1 then Error "Stride with count < 1"
       else if stride < 1 then Error "Stride with stride < 1"
@@ -57,5 +45,4 @@ let validate ~cells spec =
 
 let max_step_probability = function
   | Point _ -> 1.0
-  | Uniform cells -> 1.0 /. float_of_int (Array.length cells)
   | Stride { count; _ } -> 1.0 /. float_of_int count

@@ -15,8 +15,6 @@
 type step =
   | Point of int
       (** A deterministic probe to one cell. *)
-  | Uniform of int array
-      (** A probe uniform over an explicit, non-empty cell list. *)
   | Stride of { base : int; stride : int; count : int }
       (** A probe uniform over cells [base, base+stride, ...,
           base+(count-1)*stride] — the shape of every replication scheme

@@ -10,19 +10,16 @@ let mem t rng x = Query.mem t rng x
 let params (t : t) = t.params
 let structure t = t
 let space (t : t) = Lc_cellprobe.Table.size t.table
-let max_probes t = Query.max_probes t
+let max_probes (t : t) = Params.max_probes t.params
 let build_trials (t : t) = t.trials
-let spec t x = Query.spec t x
 
-let core (t : t) : (module Lc_dict.Dict_intf.S) =
-  (module struct
-    let name = "low-contention"
-    let table = t.table
-    let space = space t
-    let max_probes = max_probes t
-    let mem ~probe rng x = Query.mem_probe t ~probe rng x
-    let spec x = spec t x
-  end)
+let core (t : t) =
+  Lc_dict.Dict_intf.make ~name:"low-contention" ~table:t.table ~max_probes:(max_probes t)
+    (Query.query t)
+
+let spec t =
+  let (module D : Lc_dict.Dict_intf.S) = core t in
+  D.spec
 
 let instance t = Lc_dict.Instance.of_core (core t)
 

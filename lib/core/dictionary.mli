@@ -70,7 +70,8 @@ val build_trials : t -> int
 (** [P(S)] rejection-sampling trials (experiment T6). *)
 
 val spec : t -> int -> Lc_cellprobe.Spec.t
-(** Exact probe plan for a query. *)
+(** Exact probe plan for a query: {!Query.query} run under a [Plan]
+    reader. *)
 
 val core : t -> (module Lc_dict.Dict_intf.S)
 (** The dictionary as a first-class {!Lc_dict.Dict_intf.S} core — the

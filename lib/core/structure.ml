@@ -247,5 +247,3 @@ let build ?(max_trials = 10_000) ?obs rng (p : Params.t) ~keys =
     perfect_trials_total = !perfect_trials_total;
     keys = Array.copy keys;
   }
-
-let bucket_of t x = Dm_family.eval t.top x

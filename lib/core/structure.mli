@@ -13,8 +13,9 @@
       every bucket, and writes all [2d + rho + 4] rows.
 
     The result retains the hash functions and bucket metadata so that
-    {!Query.spec} can produce exact probe plans; the query path itself
-    ({!Query.mem}) reads everything back out of the cells. *)
+    {!Verify} can recompute every row from them; the query path itself
+    ({!Query.query}, and the probe plans derived from it) reads
+    everything back out of the cells. *)
 
 exception Build_failed of { stage : string; trials : int; detail : string }
 (** Raised when rejection sampling exhausts its budget — statistically
@@ -61,6 +62,3 @@ val build :
     of [P(S)]), and counters [build_ps_trials_total],
     [build_ps_rejects_{g,group,fks}_total],
     [build_perfect_trials_total]. Absent means no telemetry work. *)
-
-val bucket_of : t -> int -> int
-(** [bucket_of t x = h(x)], for tests and experiments. *)

@@ -1,8 +1,6 @@
-module Rng = Lc_prim.Rng
 module Primes = Lc_prim.Primes
 module Poly_hash = Lc_hash.Poly_hash
 module Table = Lc_cellprobe.Table
-module Spec = Lc_cellprobe.Spec
 
 type t = {
   table : Table.t;
@@ -10,8 +8,6 @@ type t = {
   d : int;
   size_each : int;
   copies : int;  (* replicas of each coefficient word *)
-  h0 : Poly_hash.t;
-  h1 : Poly_hash.t;
   rehashes : int;
 }
 
@@ -64,7 +60,7 @@ let build ?(replicate = true) ?(d = 3) rng ~universe ~keys =
   let cells = (2 * d * copies) + (2 * size_each) in
   let bits = Table.bits_for (max (universe - 1) (p - 1)) in
   let table = Table.create ~init:(-1) ~cells ~bits () in
-  let t = { table; p; d; size_each; copies; h0; h1; rehashes } in
+  let t = { table; p; d; size_each; copies; rehashes } in
   let write_coeffs which h =
     let cs = Poly_hash.coeffs h in
     Array.iteri
@@ -81,51 +77,27 @@ let build ?(replicate = true) ?(d = 3) rng ~universe ~keys =
     slots;
   t
 
-let mem_probe t ~(probe : Dict_intf.probe) rng x =
+(* Hash function [which]'s d coefficient words, each read from one of
+   its copies. *)
+let read_poly t r which =
+  let cs = Array.make t.d 0 in
+  for i = 0 to t.d - 1 do
+    cs.(i) <- Dict_intf.replica r ~base:(coeff_base t which i) ~stride:1 ~count:t.copies
+  done;
+  Poly_hash.of_coeffs ~p:t.p ~m:t.size_each cs
+
+(* The second data probe happens only when the first misses. *)
+let query t r x =
   if x < 0 || x >= t.p then invalid_arg "Cuckoo.mem: key outside universe";
-  let step = ref 0 in
-  let probe j =
-    let v = probe ~step:!step j in
-    incr step;
-    v
-  in
-  let read_poly which =
-    let cs = Array.init t.d (fun i -> probe (coeff_base t which i + Rng.int rng t.copies)) in
-    Poly_hash.of_coeffs ~p:t.p ~m:t.size_each cs
-  in
-  let h0 = read_poly 0 in
-  let h1 = read_poly 1 in
-  let v0 = probe (t0_base t + Poly_hash.eval h0 x) in
-  if v0 = x then true
-  else
-    let v1 = probe (t1_base t + Poly_hash.eval h1 x) in
-    v1 = x
-
-let spec t x =
-  let coeff_steps =
-    Array.init (2 * t.d) (fun idx ->
-        Spec.Stride { base = idx * t.copies; stride = 1; count = t.copies })
-  in
-  let j0 = t0_base t + Poly_hash.eval t.h0 x in
-  (* mem stops after the first data probe when it hits; the plan mirrors
-     that. *)
-  if Table.peek t.table j0 = x then Array.append coeff_steps [| Spec.Point j0 |]
-  else
-    let j1 = t1_base t + Poly_hash.eval t.h1 x in
-    Array.append coeff_steps [| Spec.Point j0; Spec.Point j1 |]
-
-let mem t rng x = mem_probe t ~probe:(fun ~step j -> Table.read t.table ~step j) rng x
+  let h0 = read_poly t r 0 in
+  let h1 = read_poly t r 1 in
+  Dict_intf.point r (t0_base t + Poly_hash.eval h0 x) = x
+  || Dict_intf.point r (t1_base t + Poly_hash.eval h1 x) = x
 
 let rehashes t = t.rehashes
 
-let core t : (module Dict_intf.S) =
-  (module struct
-    let name = if t.copies > 1 then "cuckoo-replicated" else "cuckoo"
-    let table = t.table
-    let space = Table.size t.table
-    let max_probes = (2 * t.d) + 2
-    let mem ~probe rng x = mem_probe t ~probe rng x
-    let spec x = spec t x
-  end)
-
-let instance t = Instance.of_core (core t)
+let instance t =
+  Instance.of_core
+    (Dict_intf.make
+       ~name:(if t.copies > 1 then "cuckoo-replicated" else "cuckoo")
+       ~table:t.table ~max_probes:((2 * t.d) + 2) (query t))

@@ -24,7 +24,5 @@ val build :
 
 val instance : t -> Instance.t
 
-val mem : t -> Lc_prim.Rng.t -> int -> bool
-
 val rehashes : t -> int
 (** Number of full rehashes performed during construction. *)

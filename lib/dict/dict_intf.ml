@@ -1,4 +1,5 @@
-(** The first-class dictionary signature.
+(** The first-class dictionary signature, and the one place a query's
+    probe plan is declared.
 
     Every membership structure in this repository reduces to the same
     four ingredients: a cell-probe table, a space/probe budget, a query
@@ -7,7 +8,15 @@
     probing function}: the algorithm decides {e which} cells to visit
     (and consumes its [Rng.t] only to pick replicas), while the caller
     decides {e how} a visit is performed — counted against the table's
-    mutable counters, counter-free, or counted on per-cell atomics.
+    mutable counters, counter-free, or counted by the caller.
+
+    A structure writes its query once, as [query t r x] over a
+    {!reader} [r], reading every cell through {!point} (one fixed cell)
+    or {!replica} (one of [count] copies). {!make} runs that one query
+    two ways: under [Sample] it is [S.mem], drawing each replica and
+    probing it; under [Plan] it is [S.spec], recording each read as the
+    {!Lc_cellprobe.Spec} step it is and reading the first copy. So the
+    plan cannot drift from the query: both are the same code.
 
     This split is what makes one implementation serve three consumers:
 
@@ -18,8 +27,12 @@
       reentrant query path it can drive from many domains at once.
 
     Query code must never poke the table's counters directly
-    ([Table.read] from inside a [mem] body is deprecated); all probes
-    flow through the supplied [probe]. *)
+    ([Table.read] from inside a query is deprecated); all probes flow
+    through the reader. *)
+
+module Rng = Lc_prim.Rng
+module Table = Lc_cellprobe.Table
+module Spec = Lc_cellprobe.Spec
 
 type probe = step:int -> int -> int
 (** [probe ~step j] visits cell [j] as the [step]-th probe (0-indexed)
@@ -27,6 +40,31 @@ type probe = step:int -> int -> int
     implementations live in {!Instance}: counting into the table
     ({!Instance.instrumented}), plain reads ({!Instance.uninstrumented}),
     or fetch-and-add on per-cell atomics ({!Instance.atomic}). *)
+
+type reader =
+  | Sample of { probe : probe; rng : Rng.t; mutable step : int }
+      (** Answer the query: draw each replica from [rng] and visit it
+          through [probe]; [step] counts the probes made so far. *)
+  | Plan of { table : Table.t; steps : Spec.step Queue.t }
+      (** Record the query's probe plan into [steps], reading the first
+          copy of every replicated word from [table]. *)
+
+let point r j =
+  match r with
+  | Sample s ->
+    let v = s.probe ~step:s.step j in
+    s.step <- s.step + 1;
+    v
+  | Plan p ->
+    Queue.add (Spec.Point j) p.steps;
+    Table.peek p.table j
+
+let replica r ~base ~stride ~count =
+  match r with
+  | Sample s -> point r (base + (stride * Rng.int s.rng count))
+  | Plan p ->
+    Queue.add (Spec.Stride { base; stride; count }) p.steps;
+    Table.peek p.table base
 
 module type S = sig
   val name : string
@@ -53,3 +91,17 @@ module type S = sig
   (** [spec x] is the exact probe plan the query algorithm uses for [x]
       on this table. *)
 end
+
+let make ~name ~table ~max_probes query : (module S) =
+  (module struct
+    let name = name
+    let table = table
+    let space = Table.size table
+    let max_probes = max_probes
+    let mem ~probe rng x = query (Sample { probe; rng; step = 0 }) x
+
+    let spec x =
+      let steps = Queue.create () in
+      ignore (query (Plan { table; steps }) x : bool);
+      Array.of_seq (Queue.to_seq steps)
+  end)

@@ -6,7 +6,6 @@ module Dm_family = Lc_hash.Dm_family
 module Perfect = Lc_hash.Perfect
 module Loads = Lc_hash.Loads
 module Table = Lc_cellprobe.Table
-module Spec = Lc_cellprobe.Spec
 
 type t = {
   table : Table.t;
@@ -16,10 +15,7 @@ type t = {
   r : int;  (* displacement-vector length *)
   copies : int;  (* replicas of each coefficient word *)
   z_copies : int;  (* replicas of each z entry *)
-  top : Dm_family.t;
-  offsets : int array;
   loads : int array;
-  multipliers : int array;
   top_trials : int;
   load_base : int;
 }
@@ -77,23 +73,7 @@ let build ?(replicate = true) ?(d = 3) rng ~universe ~keys =
   let header_max = (cells * load_base) + n in
   let bits = max (Table.bits_for (max (universe - 1) (p - 1))) (Table.bits_for header_max) in
   let table = Table.create ~init:(-1) ~cells ~bits () in
-  let t =
-    {
-      table;
-      p;
-      d;
-      nb;
-      r;
-      copies;
-      z_copies;
-      top;
-      offsets = Array.make nb 0;
-      loads;
-      multipliers = Array.make nb 0;
-      top_trials;
-      load_base;
-    }
-  in
+  let t = { table; p; d; nb; r; copies; z_copies; loads; top_trials; load_base } in
   (* Coefficient words: f's d coefficients then g's. *)
   let write_coeffs idx0 h =
     Array.iteri
@@ -113,81 +93,52 @@ let build ?(replicate = true) ?(d = 3) rng ~universe ~keys =
   let prng = Rng.split rng in
   Array.iteri
     (fun i bucket ->
-      let l = t.loads.(i) in
-      t.offsets.(i) <- !next;
-      if l > 0 then begin
-        let ph = Perfect.find prng ~p ~keys:bucket in
-        t.multipliers.(i) <- Perfect.multiplier ph;
-        Array.iter (fun x -> Table.write table (!next + Perfect.eval ph x) x) bucket;
-        next := !next + Perfect.size ph
-      end;
-      Table.write table (header_off t i) ((t.offsets.(i) * load_base) + l);
-      Table.write table (kparam_off t i) t.multipliers.(i))
+      let l = loads.(i) in
+      let off = !next in
+      let multiplier =
+        if l = 0 then 0
+        else begin
+          let ph = Perfect.find prng ~p ~keys:bucket in
+          Array.iter (fun x -> Table.write table (off + Perfect.eval ph x) x) bucket;
+          next := off + Perfect.size ph;
+          Perfect.multiplier ph
+        end
+      in
+      Table.write table (header_off t i) ((off * load_base) + l);
+      Table.write table (kparam_off t i) multiplier)
     groups;
   t
 
-let mem_probe t ~(probe : Dict_intf.probe) rng x =
+(* One polynomial of the top-level function: coefficient words
+   [idx0 .. idx0 + d - 1], each read from one of its copies. *)
+let read_poly t r idx0 m =
+  let cs = Array.make t.d 0 in
+  for i = 0 to t.d - 1 do
+    cs.(i) <- Dict_intf.replica r ~base:(coeff_base t (idx0 + i)) ~stride:1 ~count:t.copies
+  done;
+  Poly_hash.of_coeffs ~p:t.p ~m cs
+
+let query t r x =
   if x < 0 || x >= t.p then invalid_arg "Dm_dict.mem: key outside universe";
-  let step = ref 0 in
-  let probe j =
-    let v = probe ~step:!step j in
-    incr step;
-    v
-  in
-  let read_poly idx0 m =
-    let cs = Array.init t.d (fun i -> probe (coeff_base t (idx0 + i) + Rng.int rng t.copies)) in
-    Poly_hash.of_coeffs ~p:t.p ~m cs
-  in
-  let f = read_poly 0 t.nb in
-  let g = read_poly t.d t.r in
+  let f = read_poly t r 0 t.nb in
+  let g = read_poly t r t.d t.r in
   let gx = Poly_hash.eval g x in
-  let zslot = gx + (t.r * Rng.int rng t.z_copies) in
-  let zg = probe (z_base t + zslot) in
+  let zg = Dict_intf.replica r ~base:(z_base t + gx) ~stride:t.r ~count:t.z_copies in
   let i = (Poly_hash.eval f x + zg) mod t.nb in
-  let header = probe (header_off t i) in
+  let header = Dict_intf.point r (header_off t i) in
   let off = header / t.load_base and l = header mod t.load_base in
   if l = 0 then false
   else begin
-    let ki = probe (kparam_off t i) in
+    let ki = Dict_intf.point r (kparam_off t i) in
     let slot = Modarith.mul t.p ki x mod (l * l) in
-    probe (off + slot) = x
+    Dict_intf.point r (off + slot) = x
   end
-
-let spec t x =
-  let coeff_steps =
-    Array.init (2 * t.d) (fun idx ->
-        Spec.Stride { base = coeff_base t idx; stride = 1; count = t.copies })
-  in
-  let gx = Poly_hash.eval (Dm_family.g t.top) x in
-  let z_step = Spec.Stride { base = z_base t + gx; stride = t.r; count = t.z_copies } in
-  let i = Dm_family.eval t.top x in
-  let l = t.loads.(i) in
-  let tail =
-    if l = 0 then [| z_step; Spec.Point (header_off t i) |]
-    else
-      let slot = Modarith.mul t.p t.multipliers.(i) x mod (l * l) in
-      [|
-        z_step;
-        Spec.Point (header_off t i);
-        Spec.Point (kparam_off t i);
-        Spec.Point (t.offsets.(i) + slot);
-      |]
-  in
-  Array.append coeff_steps tail
-
-let mem t rng x = mem_probe t ~probe:(fun ~step j -> Table.read t.table ~step j) rng x
 
 let max_bucket_load t = Loads.max_load t.loads
 let top_trials t = t.top_trials
 
-let core t : (module Dict_intf.S) =
-  (module struct
-    let name = if t.copies > 1 then "dm-replicated" else "dm"
-    let table = t.table
-    let space = Table.size t.table
-    let max_probes = (2 * t.d) + 4
-    let mem ~probe rng x = mem_probe t ~probe rng x
-    let spec x = spec t x
-  end)
-
-let instance t = Instance.of_core (core t)
+let instance t =
+  Instance.of_core
+    (Dict_intf.make
+       ~name:(if t.copies > 1 then "dm-replicated" else "dm")
+       ~table:t.table ~max_probes:((2 * t.d) + 4) (query t))

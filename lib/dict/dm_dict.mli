@@ -25,8 +25,6 @@ val build :
 
 val instance : t -> Instance.t
 
-val mem : t -> Lc_prim.Rng.t -> int -> bool
-
 val max_bucket_load : t -> int
 
 val top_trials : t -> int

@@ -4,26 +4,19 @@ module Modarith = Lc_prim.Modarith
 module Perfect = Lc_hash.Perfect
 module Loads = Lc_hash.Loads
 module Table = Lc_cellprobe.Table
-module Spec = Lc_cellprobe.Spec
 
 type t = {
   table : Table.t;
   p : int;
-  k_top : int;
   nb : int;  (* top-level buckets *)
   copies : int;  (* replicas of the k_top cell *)
-  offsets : int array;  (* absolute slot-block start per bucket *)
   loads : int array;
-  multipliers : int array;  (* per-bucket perfect-hash word *)
-  n : int;
   top_trials : int;
   load_base : int;  (* header packing radix *)
 }
 
 let header_off t i = t.copies + i
 let kparam_off t i = t.copies + t.nb + i
-
-let top_bucket t x = Modarith.mul t.p t.k_top x mod t.nb
 
 let check_keys ~universe keys =
   if Array.length keys = 0 then invalid_arg "Fks.build: empty key set";
@@ -52,8 +45,6 @@ let assemble ~replicate ~universe ~p ~k_top ~top_trials keys =
   for j = 0 to copies - 1 do
     Table.write table j k_top
   done;
-  let offsets = Array.make nb 0 in
-  let multipliers = Array.make nb 0 in
   let next = ref (copies + (2 * nb)) in
   (* A local deterministic rng for the per-bucket perfect hashes keeps
      assemble's signature free of the caller's rng; seeded from k_top so
@@ -62,17 +53,20 @@ let assemble ~replicate ~universe ~p ~k_top ~top_trials keys =
   Array.iteri
     (fun i bucket ->
       let l = loads.(i) in
-      offsets.(i) <- !next;
-      if l > 0 then begin
-        let ph = Perfect.find rng ~p ~keys:bucket in
-        multipliers.(i) <- Perfect.multiplier ph;
-        Array.iter (fun x -> Table.write table (!next + Perfect.eval ph x) x) bucket;
-        next := !next + Perfect.size ph
-      end;
-      Table.write table (copies + i) ((offsets.(i) * load_base) + l);
-      Table.write table (copies + nb + i) multipliers.(i))
+      let off = !next in
+      let multiplier =
+        if l = 0 then 0
+        else begin
+          let ph = Perfect.find rng ~p ~keys:bucket in
+          Array.iter (fun x -> Table.write table (off + Perfect.eval ph x) x) bucket;
+          next := off + Perfect.size ph;
+          Perfect.multiplier ph
+        end
+      in
+      Table.write table (copies + i) ((off * load_base) + l);
+      Table.write table (copies + nb + i) multiplier)
     groups;
-  { table; p; k_top; nb; copies; offsets; loads; multipliers; n; top_trials; load_base }
+  { table; p; nb; copies; loads; top_trials; load_base }
 
 let build ?(replicate = true) rng ~universe ~keys =
   check_keys ~universe keys;
@@ -141,52 +135,24 @@ let build_planted ?(replicate = true) rng ~universe ~n ~heavy =
   let structure = assemble ~replicate ~universe ~p ~k_top ~top_trials:1 all in
   (structure, all)
 
-let mem_probe t ~(probe : Dict_intf.probe) rng x =
+let query t r x =
   if x < 0 || x >= t.p then invalid_arg "Fks.mem: key outside universe";
-  let step = ref 0 in
-  let probe j =
-    let v = probe ~step:!step j in
-    incr step;
-    v
-  in
-  let k_top = probe (Rng.int rng t.copies) in
+  let k_top = Dict_intf.replica r ~base:0 ~stride:1 ~count:t.copies in
   let i = Modarith.mul t.p k_top x mod t.nb in
-  let header = probe (header_off t i) in
+  let header = Dict_intf.point r (header_off t i) in
   let off = header / t.load_base and l = header mod t.load_base in
   if l = 0 then false
   else begin
-    let ki = probe (kparam_off t i) in
+    let ki = Dict_intf.point r (kparam_off t i) in
     let slot = Modarith.mul t.p ki x mod (l * l) in
-    probe (off + slot) = x
+    Dict_intf.point r (off + slot) = x
   end
-
-let spec t x =
-  let i = top_bucket t x in
-  let l = t.loads.(i) in
-  let first = Spec.Stride { base = 0; stride = 1; count = t.copies } in
-  if l = 0 then [| first; Spec.Point (header_off t i) |]
-  else
-    let slot = Modarith.mul t.p t.multipliers.(i) x mod (l * l) in
-    [|
-      first;
-      Spec.Point (header_off t i);
-      Spec.Point (kparam_off t i);
-      Spec.Point (t.offsets.(i) + slot);
-    |]
-
-let mem t rng x = mem_probe t ~probe:(fun ~step j -> Table.read t.table ~step j) rng x
 
 let max_bucket_load t = Loads.max_load t.loads
 let top_trials t = t.top_trials
 
-let core t : (module Dict_intf.S) =
-  (module struct
-    let name = if t.copies > 1 then "fks-replicated" else "fks"
-    let table = t.table
-    let space = Table.size t.table
-    let max_probes = 4
-    let mem ~probe rng x = mem_probe t ~probe rng x
-    let spec x = spec t x
-  end)
-
-let instance t = Instance.of_core (core t)
+let instance t =
+  Instance.of_core
+    (Dict_intf.make
+       ~name:(if t.copies > 1 then "fks-replicated" else "fks")
+       ~table:t.table ~max_probes:4 (query t))

@@ -39,8 +39,6 @@ val build_planted :
 
 val instance : t -> Instance.t
 
-val mem : t -> Lc_prim.Rng.t -> int -> bool
-
 val max_bucket_load : t -> int
 (** Largest top-level bucket, the contention driver. *)
 

@@ -4,7 +4,8 @@
     paper's low-contention dictionary in [Lc_core] — exposes itself as a
     {!Dict_intf.S} core: a table, a space/probe budget, a query
     procedure parameterised by the probing function, and the exact
-    per-query probe plan. An {!t} wraps one core together with a chosen
+    per-query probe plan, both derived by {!Dict_intf.make} from the
+    structure's one query. An {!t} wraps one core together with a chosen
     {e probing mode}, which decides what a probe physically does:
 
     - {!instrumented} (the default, and what {!of_core} builds): every
@@ -16,8 +17,10 @@
       to shared state and therefore safe to run from many domains.
     - {!atomic}: probes are plain reads plus a fetch-and-add on a
       per-cell [Atomic.t] counter owned by the instance — reentrant
-      {e and} counted, the mode the [lc_parallel] serving engine and
-      experiment T10 are built on.
+      {e and} counted. No serving path uses it: the [lc_parallel]
+      engine drives the core with its own per-domain tallies. Tests use
+      it as a reference count, and [bench/e2e] prices it as
+      [dict.tally_ns].
 
     The record fields are exposed read-only by convention: consumers
     (experiments, the lower-bound game, tests) read [mem], [spec],

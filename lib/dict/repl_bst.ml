@@ -1,13 +1,10 @@
-module Rng = Lc_prim.Rng
 module Table = Lc_cellprobe.Table
-module Spec = Lc_cellprobe.Spec
 
 type t = {
   table : Table.t;
   universe : int;  (* doubles as the +infinity sentinel *)
   levels : int;
   width : int;  (* cells per row, 2^levels *)
-  heap : int array;  (* Eytzinger array, 1-indexed, size 2^levels *)
 }
 
 (* Fill the 1-indexed Eytzinger heap with the sorted keys (in-order
@@ -60,63 +57,36 @@ let build ~universe ~keys =
       done
     done
   done;
-  { table; universe; levels; width; heap }
+  { table; universe; levels; width }
 
-(* The descent shared by queries and probe plans: [probe ~depth v] must
-   return node v's pivot; returns the predecessor if any. *)
-let descend t x ~probe =
-  let best = ref None in
-  let v = ref 1 in
-  for depth = 0 to t.levels - 1 do
-    let pivot = probe ~depth !v in
-    if x >= pivot && pivot <> t.universe then begin
-      best := Some pivot;
-      v := (2 * !v) + 1
-    end
-    else v := 2 * !v
-  done;
-  !best
-
-let predecessor_probe t ~(probe : Dict_intf.probe) rng x =
-  if x < 0 || x >= t.universe then invalid_arg "Repl_bst.predecessor: key outside universe";
-  let pick ~depth v =
+(* The descent from node [v] at [depth]: at each level, read one
+   replica of the node's pivot; [best] is the largest pivot <= x seen so
+   far, -1 if none. *)
+let rec descend t r x v depth best =
+  if depth = t.levels then best
+  else
     let nodes = 1 lsl depth in
-    let replica = Rng.int rng (t.width / nodes) in
-    probe ~step:depth ((depth * t.width) + (v - nodes) + (replica * nodes))
-  in
-  descend t x ~probe:pick
+    let pivot =
+      Dict_intf.replica r
+        ~base:((depth * t.width) + (v - nodes))
+        ~stride:nodes ~count:(t.width / nodes)
+    in
+    if x >= pivot && pivot <> t.universe then descend t r x ((2 * v) + 1) (depth + 1) pivot
+    else descend t r x (2 * v) (depth + 1) best
+
+let pred t r x =
+  if x < 0 || x >= t.universe then invalid_arg "Repl_bst.predecessor: key outside universe";
+  descend t r x 1 0 (-1)
+
+let query t r x = pred t r x = x
 
 let predecessor t rng x =
-  predecessor_probe t ~probe:(fun ~step j -> Table.read t.table ~step j) rng x
-
-let mem_probe t ~probe rng x =
-  match predecessor_probe t ~probe rng x with Some y -> y = x | None -> false
-
-let mem t rng x = match predecessor t rng x with Some y -> y = x | None -> false
-
-let spec t x =
-  let steps = ref [] in
-  let probe ~depth v =
-    let nodes = 1 lsl depth in
-    steps :=
-      Spec.Stride
-        { base = (depth * t.width) + (v - nodes); stride = nodes; count = t.width / nodes }
-      :: !steps;
-    t.heap.(v)
-  in
-  ignore (descend t x ~probe : int option);
-  Array.of_list (List.rev !steps)
+  match pred t (Dict_intf.Sample { probe = Table.read t.table; rng; step = 0 }) x with
+  | -1 -> None
+  | y -> Some y
 
 let levels t = t.levels
 
-let core t : (module Dict_intf.S) =
-  (module struct
-    let name = "repl-bst-predecessor"
-    let table = t.table
-    let space = Table.size t.table
-    let max_probes = t.levels
-    let mem ~probe rng x = mem_probe t ~probe rng x
-    let spec x = spec t x
-  end)
-
-let instance t = Instance.of_core (core t)
+let instance t =
+  Instance.of_core
+    (Dict_intf.make ~name:"repl-bst-predecessor" ~table:t.table ~max_probes:t.levels (query t))

@@ -31,12 +31,9 @@ val predecessor : t -> Lc_prim.Rng.t -> int -> int option
 (** [predecessor t rng x] is the largest stored key [<= x], or [None]
     if [x] is below every key. Exactly one probe per tree level. *)
 
-val mem : t -> Lc_prim.Rng.t -> int -> bool
-(** Membership via predecessor. *)
-
 val instance : t -> Instance.t
-(** The experiment-facing record ([mem]-based; the probe plan is the
-    full descent, identical for [predecessor]). *)
+(** The experiment-facing record: membership via predecessor, so the
+    probe plan is the full descent, identical for [predecessor]. *)
 
 val levels : t -> int
 (** Tree depth = probes per query. *)

@@ -1,5 +1,4 @@
 module Table = Lc_cellprobe.Table
-module Spec = Lc_cellprobe.Spec
 
 type t = { table : Table.t; n : int }
 
@@ -18,45 +17,21 @@ let build ~universe ~keys =
   Array.iteri (fun i x -> Table.write table i x) sorted;
   { table; n }
 
-(* The deterministic binary-search path for [x]; [probe] observes each
-   visited cell and its content. *)
-let search_path t x ~probe =
-  let rec go lo hi step =
-    if lo > hi then false
-    else
-      let mid = (lo + hi) / 2 in
-      let v = probe ~step mid in
-      if v = x then true
-      else if v < x then go (mid + 1) hi (step + 1)
-      else go lo (mid - 1) (step + 1)
-  in
-  go 0 (t.n - 1) 0
+(* Binary search over cells [lo .. hi]: one deterministic read per
+   step. *)
+let rec search r x lo hi =
+  lo <= hi
+  &&
+  let mid = (lo + hi) / 2 in
+  let v = Dict_intf.point r mid in
+  v = x || if v < x then search r x (mid + 1) hi else search r x lo (mid - 1)
 
-let mem_probe t ~(probe : Dict_intf.probe) _rng x = search_path t x ~probe:(fun ~step j -> probe ~step j)
-
-let mem t x = search_path t x ~probe:(fun ~step j -> Table.read t.table ~step j)
-
-let spec t x =
-  let cells = ref [] in
-  let (_ : bool) =
-    search_path t x ~probe:(fun ~step:_ j ->
-        cells := j :: !cells;
-        Table.peek t.table j)
-  in
-  Array.of_list (List.rev_map (fun j -> Spec.Point j) !cells)
+let query t r x = search r x 0 (t.n - 1)
 
 let max_probes t =
   let rec depth n = if n <= 0 then 0 else 1 + depth (n / 2) in
   depth t.n
 
-let core t : (module Dict_intf.S) =
-  (module struct
-    let name = "binary-search"
-    let table = t.table
-    let space = t.n
-    let max_probes = max_probes t
-    let mem ~probe rng x = mem_probe t ~probe rng x
-    let spec x = spec t x
-  end)
-
-let instance t = Instance.of_core (core t)
+let instance t =
+  Instance.of_core
+    (Dict_intf.make ~name:"binary-search" ~table:t.table ~max_probes:(max_probes t) (query t))

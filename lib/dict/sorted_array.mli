@@ -4,8 +4,8 @@
     "With binary search ... the entry in the middle of the table is
     accessed on every query": the root cell has contention 1 regardless
     of the query distribution, a factor [s] above optimal. The probe
-    sequence is deterministic, so [spec] is a list of [Point] steps along
-    the search path. *)
+    sequence is deterministic, so the probe plan is a list of [Point]
+    steps along the search path. *)
 
 type t
 
@@ -14,6 +14,3 @@ val build : universe:int -> keys:int array -> t
     per cell. *)
 
 val instance : t -> Instance.t
-
-val mem : t -> int -> bool
-(** Direct membership check (instrumented probes). *)

@@ -1,5 +1,6 @@
-(* The whole-repo call graph over Checks def summaries, and the three
-   interprocedural rules that run on it.
+(* The whole-repo call graph over Checks def summaries, the three
+   interprocedural rules that run on it, and the check that every
+   hot-path manifest entry names a definition.
 
    Nodes are top-level definitions. An edge exists when one definition
    *references* another by path — a call, or an escape of the function
@@ -319,7 +320,7 @@ let lc008 g =
     |> List.filter_map (fun n ->
            if
              List.mem n.def.Checks.d_context
-               (g.hot.Hotpath.hot_functions n.def.Checks.d_file)
+               (Hotpath.hot_functions g.hot n.def.Checks.d_file)
            then Some n.idx
            else None)
   in
@@ -388,9 +389,46 @@ let lc008 g =
     origin;
   List.rev !out
 
-let run ~hot ~rules ~claims (defs : Checks.def list) =
+(* ------------------------------------------------------------------ *)
+(* Manifest drift: entries that name nothing                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A manifest root that the linted tree does not define roots nothing:
+   LC004 and LC008 then audit an empty path and stay silent. Report
+   each such root, and each manifest file outside [files] (the linted
+   tree), as an LC004 finding that names it. *)
+let manifest_gaps g ~files =
+  let at file context message =
+    Finding.make ~rule:Rule.LC004 ~file ~line:1 ~col:0 ~context ~message
+  in
+  List.concat_map
+    (fun (file, fns) ->
+      if not (List.mem file files) then
+        [
+          at file "_"
+            (Printf.sprintf
+               "hot-path manifest names %s, which the linted tree does not have; its \
+                functions (%s) go unaudited"
+               file (String.concat ", " fns));
+        ]
+      else
+        List.filter_map
+          (fun fn ->
+            if Hashtbl.mem g.by_key (file, fn) then None
+            else
+              Some
+                (at file fn
+                   (Printf.sprintf
+                      "hot-path manifest names %s, which %s does not define; nothing audits \
+                       it"
+                      fn file)))
+          fns)
+    g.hot.Hotpath.manifest
+
+let run ~hot ~rules ~claims ~files (defs : Checks.def list) =
   let g = build ~hot defs in
   let fs = ref [] in
+  if List.mem Rule.LC004 rules then fs := !fs @ manifest_gaps g ~files;
   if List.mem Rule.LC006 rules then fs := !fs @ lc006 g claims;
   if List.mem Rule.LC007 rules then fs := !fs @ lc007 g;
   if List.mem Rule.LC008 rules then fs := !fs @ lc008 g;

@@ -274,7 +274,7 @@ let check_binding acc ~hot ~on ~(d : def) expr =
   let note_alloc al_loc al_desc al_words =
     allocs := { al_loc; al_desc; al_words } :: !allocs
   in
-  let in_manifest = List.mem context (hot.Hotpath.hot_functions file) in
+  let in_manifest = List.mem context (Hotpath.hot_functions hot file) in
   let rec walk ~spine e =
     match Tcompat.lambda_bodies e with
     | Some bodies ->

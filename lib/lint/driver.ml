@@ -291,8 +291,12 @@ let owner_claims (baseline : Baseline.t option) =
 let lint_source ?(hot = Hotpath.default) ?(rules = Rule.all) ?(claims = []) ~path content =
   match typecheck ~path content with
   | Ok str ->
+    (* The linted tree is this one file: the manifest's entries for other
+       files have nothing here to audit. *)
+    let manifest = List.filter (fun (file, _) -> file = path) hot.Hotpath.manifest in
+    let hot = { hot with Hotpath.manifest } in
     let findings, defs = Checks.run ~hot ~rules ~file:path str in
-    let inter = Callgraph.run ~hot ~rules ~claims defs in
+    let inter = Callgraph.run ~hot ~rules ~claims ~files:[ path ] defs in
     Ok (List.sort Finding.compare (findings @ inter))
   | Error pe -> Error pe
 
@@ -308,7 +312,11 @@ let run ?(hot = Hotpath.default) ?(rules = Rule.all) ?baseline ?today ?(build = 
       ([], []) typed
   in
   let defs = List.concat (List.rev defs) in
-  let inter = Callgraph.run ~hot ~rules ~claims:(owner_claims baseline) defs in
+  let inter =
+    Callgraph.run ~hot ~rules ~claims:(owner_claims baseline)
+      ~files:(List.map (fun tf -> tf.tf_path) typed)
+      defs
+  in
   let findings = List.sort Finding.compare (List.concat (List.rev findings) @ inter) in
   let results, baseline_summary = apply_baseline ?baseline ~rules ~today findings in
   {

@@ -21,12 +21,14 @@
      sequential harness, not a race, so the ownership scan skips them.
      Everything else under lib/ participates: a stray writer in the
      dictionary or engine layers is exactly what LC006 exists to catch.
-   - [hot_functions] (LC004 direct audit, LC008 roots): the per-module
-     manifest of functions that must stay allocation-free (or carry a
+   - [manifest] (LC004 direct audit, LC008 roots): the per-module
+     list of functions that must stay allocation-free (or carry a
      documented suppression). LC008 closes this manifest over the call
      graph, so helpers no longer need to be listed by hand — only the
-     roots do. Factory functions that *build* hot closures
-     (Engine.make_probe, make_obs_probe) are deliberately absent:
+     roots do. Every entry must name a file and a top-level definition
+     the linted tree has: an entry that names nothing would audit
+     nothing, so LC004 reports it. Factory functions that *build* hot
+     closures (Engine.make_probe, make_obs_probe) are deliberately absent:
      closure construction there is per-run setup, and the closures'
      per-probe callees (Metrics.incr, Heavy.observe, Window.publish,
      Journal.record, Table.peek) are the manifest entries that audit
@@ -44,7 +46,7 @@ type t = {
   hot_module : string -> bool;
   shared_scope : string -> bool;
   harness : string -> bool;
-  hot_functions : string -> string list;
+  manifest : (string * string list) list;  (* file -> function names *)
   published_types : string list;  (* qualified "Module.type" names *)
   pin_functions : string list;  (* qualified "Module.fn" names *)
 }
@@ -95,15 +97,22 @@ let default_manifest =
     ("lib/obs/window.ml", [ "publish" ]);
     ("lib/obs/journal.ml", [ "record" ]);
     ("lib/cellprobe/table.ml", [ "peek" ]);
-    ("lib/core/query.ml", [ "mem_probe" ]);
+    (* Each dictionary's one query, and the two reads every query is
+       made of. *)
+    ("lib/dict/dict_intf.ml", [ "point"; "replica" ]);
+    ("lib/core/query.ml", [ "query" ]);
     (* The histogram walk runs once per lc query and must not
        allocate: listed so that LC004 audits its body directly. *)
     ("lib/core/histogram.ml", [ "locate" ]);
-    ("lib/dict/fks.ml", [ "mem_probe" ]);
-    ("lib/dict/dm_dict.ml", [ "mem_probe" ]);
-    ("lib/dict/cuckoo.ml", [ "mem_probe" ]);
-    ("lib/dict/sorted_array.ml", [ "mem_probe" ]);
+    ("lib/dict/fks.ml", [ "query" ]);
+    ("lib/dict/dm_dict.ml", [ "query" ]);
+    ("lib/dict/cuckoo.ml", [ "query" ]);
+    ("lib/dict/sorted_array.ml", [ "query" ]);
+    ("lib/dict/repl_bst.ml", [ "query" ]);
   ]
+
+let hot_functions hot file =
+  match List.assoc_opt file hot.manifest with Some fns -> fns | None -> []
 
 let default =
   {
@@ -130,8 +139,7 @@ let default =
         || has_prefix ~prefix:"lib/analysis/" p
         || has_prefix ~prefix:"lib/perf/" p
         || has_prefix ~prefix:"lib/lowerbound/" p);
-    hot_functions =
-      (fun p -> match List.assoc_opt p default_manifest with Some fns -> fns | None -> []);
+    manifest = default_manifest;
     (* Epoch snapshots and their levels are published by one Atomic.set
        and reclaimed against announced epochs; Window publishers are the
        worker-side seqlock slots that stable_read copies out. *)

@@ -47,7 +47,8 @@ let intent = function
      single-writer/seqlock argument"
   | LC004 ->
     "closures, List combinators and Printf/Format inside manifest hot functions allocate or \
-     format on the per-probe path; hot loops must be allocation-free"
+     format on the per-probe path; hot loops must be allocation-free, and every manifest \
+     entry must name a definition, or its path goes unaudited"
   | LC005 ->
     "Obj.magic/Obj.repr defeat the type system and the memory model; never acceptable in this \
      codebase"

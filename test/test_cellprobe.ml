@@ -95,7 +95,6 @@ let test_spec_probabilities_sum () =
   let steps =
     [
       Spec.Point 0;
-      Spec.Uniform [| 1; 2; 3 |];
       Spec.Stride { base = 0; stride = 2; count = 7 };
     ]
   in
@@ -113,21 +112,6 @@ let test_spec_sample_in_support () =
     checkb "sample in support" true (List.mem (Spec.sample_step rng st) support)
   done
 
-let test_spec_sample_uniform () =
-  let rng = Rng.create 4 in
-  let st = Spec.Uniform [| 0; 1; 2; 3 |] in
-  let counts = Array.make 4 0 in
-  let trials = 20_000 in
-  for _ = 1 to trials do
-    let j = Spec.sample_step rng st in
-    counts.(j) <- counts.(j) + 1
-  done;
-  Array.iter
-    (fun c ->
-      let dev = Float.abs (float_of_int c -. 5000.0) /. 5000.0 in
-      checkb "within 6%" true (dev < 0.06))
-    counts
-
 let test_spec_validate () =
   checkb "good plan" true
     (Spec.validate ~cells:100 [| Spec.Point 0; Spec.Stride { base = 1; stride = 7; count = 14 } |]
@@ -136,8 +120,7 @@ let test_spec_validate () =
     (Spec.validate ~cells:10 [| Spec.Point 10 |] |> Result.is_error);
   checkb "stride escapes" true
     (Spec.validate ~cells:10 [| Spec.Stride { base = 0; stride = 5; count = 3 } |]
-    |> Result.is_error);
-  checkb "empty uniform" true (Spec.validate ~cells:10 [| Spec.Uniform [||] |] |> Result.is_error)
+    |> Result.is_error)
 
 let test_spec_max_step_probability () =
   checkf "point" 1.0 (Spec.max_step_probability (Spec.Point 3));
@@ -256,7 +239,6 @@ let test_exact_sums_to_mean_probes () =
     [|
       Spec.Stride { base = 0; stride = 1; count = 20 };
       Spec.Point (x mod 20);
-      Spec.Uniform [| 0; 5; 10 |];
     |]
   in
   let d = Qdist.uniform ~name:"u" (Array.init 10 (fun i -> i + (Rng.int rng 3 * 0))) in
@@ -553,7 +535,6 @@ let () =
           Alcotest.test_case "stride" `Quick test_spec_stride;
           Alcotest.test_case "probabilities sum" `Quick test_spec_probabilities_sum;
           Alcotest.test_case "sample in support" `Quick test_spec_sample_in_support;
-          Alcotest.test_case "sample uniform" `Quick test_spec_sample_uniform;
           Alcotest.test_case "validate" `Quick test_spec_validate;
           Alcotest.test_case "max step probability" `Quick test_spec_max_step_probability;
         ] );

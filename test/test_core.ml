@@ -205,7 +205,7 @@ let test_histogram_locate_byte_runs () =
   check_range "second bucket" (16, 9) 1
 
 let test_histogram_locate_allocates_nothing () =
-  (* Query.mem_probe calls locate once per query; the lint baseline
+  (* Query.query calls locate once per query; the lint baseline
      carries no allocation entry for it, so it must allocate nothing. *)
   let p = Params.make ~universe:(1 lsl 24) ~n:4096 () in
   let loads = Array.init p.g_per_group (fun k -> [| 0; 1; 2; 0; 3; 1 |].(k mod 6)) in
@@ -335,6 +335,23 @@ let test_query_spec_matches_mem () =
   (match Instance.check_spec_against_mem inst ~rng ~queries:sample with
   | Ok () -> ()
   | Error e -> Alcotest.fail e)
+
+(* The spec reads the first copy of each replicated word, mem a random
+   one: a table whose copies of one coefficient disagree must fail the
+   cross-check. Every copy of f's first coefficient but the first is
+   overwritten here. *)
+let test_query_spec_catches_bad_copies () =
+  let dict, keys = build 13 256 in
+  let p = Dictionary.params dict and inst = Dictionary.instance dict in
+  let cell j = Layout.cell p ~row:(Layout.f_row p 0) j in
+  let c = Table.peek inst.table (cell 0) in
+  for j = 1 to p.s - 1 do
+    Table.write inst.table (cell j) ((c + 1) mod p.p)
+  done;
+  let queries = Array.sub keys 0 40 in
+  match Instance.check_spec_against_mem inst ~rng:(Rng.create 1003) ~queries with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "copies that disagree passed the spec-vs-mem check"
 
 let test_query_spec_valid () =
   let dict, keys = build 14 256 in
@@ -738,6 +755,8 @@ let () =
           Alcotest.test_case "negative" `Quick test_query_negative;
           Alcotest.test_case "probe budget" `Quick test_query_probe_budget;
           Alcotest.test_case "spec matches mem" `Quick test_query_spec_matches_mem;
+          Alcotest.test_case "spec catches disagreeing copies" `Quick
+            test_query_spec_catches_bad_copies;
           Alcotest.test_case "spec valid" `Quick test_query_spec_valid;
           Alcotest.test_case "answer deterministic" `Quick test_query_deterministic_answer;
         ] );

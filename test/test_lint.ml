@@ -59,8 +59,7 @@ let test_fixture_lc004 () =
   let hot =
     {
       Hotpath.default with
-      Hotpath.hot_functions =
-        (fun p -> if p = "lib/misc/hot.ml" then [ "probe_loop" ] else []);
+      Hotpath.manifest = [ ("lib/misc/hot.ml", [ "probe_loop" ]) ];
     }
   in
   let fs = lint_fixture ~hot ~path:"lib/misc/hot.ml" "lc004.ml" in
@@ -121,7 +120,7 @@ let test_fixture_lc008 () =
   let hot =
     {
       Hotpath.default with
-      Hotpath.hot_functions = (fun p -> if p = "lib/misc/hot8.ml" then [ "probe" ] else []);
+      Hotpath.manifest = [ ("lib/misc/hot8.ml", [ "probe" ]) ];
     }
   in
   let fs = lint_fixture ~hot ~rules:[ Rule.LC008 ] ~path:"lib/misc/hot8.ml" "lc008.ml" in
@@ -133,6 +132,20 @@ let test_fixture_lc008 () =
   (* LC004 alone still misses it: the drift the closure rule closes. *)
   checki "LC004 direct audit is blind to the helper" 0
     (List.length (lint_fixture ~hot ~rules:[ Rule.LC004 ] ~path:"lib/misc/hot8.ml" "lc008.ml"))
+
+(* A manifest entry that names no definition roots an empty audit: it
+   must surface as one finding naming it. *)
+let test_fixture_manifest_gap () =
+  let hot =
+    { Hotpath.default with Hotpath.manifest = [ ("lib/misc/hot9.ml", [ "probe"; "ghost" ]) ] }
+  in
+  let fs = lint_fixture ~hot ~path:"lib/misc/hot9.ml" "manifest.ml" in
+  Alcotest.(check (list string)) "exactly one LC004" [ "LC004" ] (rule_ids fs);
+  checks "the finding names the missing function" "ghost" (List.hd fs).Finding.context;
+  (* Over a tree without the manifest's file, the file is what is named. *)
+  match Lc_lint.Callgraph.run ~hot ~rules:Rule.all ~claims:[] ~files:[] [] with
+  | [ f ] -> checks "the finding names the missing file" "lib/misc/hot9.ml" f.Finding.file
+  | fs -> Alcotest.failf "want one finding for the missing file, got %d" (List.length fs)
 
 let test_fixture_clean () =
   checki "clean fixture, hot shared path" 0
@@ -563,6 +576,8 @@ let () =
           Alcotest.test_case "lc006 ownership" `Quick test_fixture_lc006;
           Alcotest.test_case "lc007 pin domination" `Quick test_fixture_lc007;
           Alcotest.test_case "lc008 manifest closure" `Quick test_fixture_lc008;
+          Alcotest.test_case "manifest names a missing definition" `Quick
+            test_fixture_manifest_gap;
           Alcotest.test_case "clean" `Quick test_fixture_clean;
           Alcotest.test_case "rules filter" `Quick test_rules_filter;
           Alcotest.test_case "parse failure" `Quick test_parse_failure;
