@@ -15,9 +15,11 @@ module Instance = Lc_dict.Instance
 module Keyset = Lc_workload.Keyset
 module Stats = Lc_analysis.Stats
 
-(* Every count and period flag takes a positive number, so 0, a
-   negative or a non-number is a usage error (exit 2) that names the
-   flag, never an exception from deep in the library. *)
+(* Every numeric flag has a domain: a count or a period is positive, a
+   linger time is at least 0, a significance level lies strictly
+   between 0 and 1. A value outside it, or a non-number, is a usage
+   error (exit 2) that names the flag, never an exception from deep in
+   the library. *)
 let positive_int =
   Arg.conv'
     ( (fun s ->
@@ -26,13 +28,19 @@ let positive_int =
         | _ -> Error (Printf.sprintf "%S is not a positive integer" s)),
       Format.pp_print_int )
 
-let positive_float =
+let finite_float what ok =
   Arg.conv'
     ( (fun s ->
         match float_of_string_opt s with
-        | Some v when v > 0.0 && Float.is_finite v -> Ok v
-        | _ -> Error (Printf.sprintf "%S is not a positive number" s)),
+        | Some v when Float.is_finite v && ok v -> Ok v
+        | _ -> Error (Printf.sprintf "%S is not %s" s what)),
       Format.pp_print_float )
+
+let positive_float = finite_float "a positive number" (fun v -> v > 0.0)
+let non_negative_float = finite_float "a number >= 0" (fun v -> v >= 0.0)
+
+let open_unit_float =
+  finite_float "a number strictly between 0 and 1" (fun v -> v > 0.0 && v < 1.0)
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -317,7 +325,7 @@ let top_k_arg =
 let alert_arg =
   Arg.(
     value
-    & opt float 8.0
+    & opt positive_float 8.0
     & info [ "alert-factor" ] ~docv:"X"
         ~doc:
           "Fire the hotspot alert when a window's engine_hotspot_ratio exceeds $(docv) times \
@@ -333,7 +341,7 @@ let no_dashboard_arg =
 let linger_arg =
   Arg.(
     value
-    & opt float 0.0
+    & opt non_negative_float 0.0
     & info [ "linger" ] ~docv:"SECONDS"
         ~doc:"Keep the HTTP endpoint up this long after the run completes.")
 
@@ -877,7 +885,7 @@ let diff_prom_arg =
 let alpha_arg =
   Arg.(
     value
-    & opt float 0.05
+    & opt open_unit_float 0.05
     & info [ "alpha" ] ~docv:"A" ~doc:"Mann-Whitney significance threshold.")
 
 let fail_on_regression_arg =

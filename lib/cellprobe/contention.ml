@@ -73,28 +73,33 @@ let exact ~cells ~qdist ~spec =
     step_accs;
   finish ~cells ~per_cell ~per_step_max ~mean_probes:!mean_probes
 
+(* Counts live in arrays local to the call: [per_cell.(j)], and
+   [by_step.(t).(j)], one row per step index seen, added on first use. *)
 let monte_carlo ~table ~qdist ~mem ~rng ~queries =
   if queries <= 0 then invalid_arg "Contention.monte_carlo: queries must be positive";
-  Table.reset_counters table;
+  let cells = Table.size table in
+  let per_cell = Array.make cells 0 in
+  let by_step = ref [||] in
+  let probe ~step j =
+    let rows = !by_step in
+    if step >= Array.length rows then
+      by_step :=
+        Array.init (step + 1) (fun t -> if t < Array.length rows then rows.(t) else Array.make cells 0);
+    let row = !by_step.(step) in
+    row.(j) <- row.(j) + 1;
+    per_cell.(j) <- per_cell.(j) + 1;
+    Table.peek table j
+  in
   for _ = 1 to queries do
     let x = Qdist.sample qdist rng in
-    ignore (mem rng x : bool)
+    ignore (mem ~probe rng x : bool)
   done;
-  let cells = Table.size table in
   let k = float_of_int queries in
-  let per_cell = Array.init cells (fun j -> float_of_int (Table.probes table j) /. k) in
-  let steps = Table.max_step table in
+  let mean_probes = float_of_int (Array.fold_left ( + ) 0 per_cell) /. k in
+  let per_cell = Array.map (fun c -> float_of_int c /. k) per_cell in
   let per_step_max =
-    Array.init steps (fun t ->
-        let mx = ref 0 in
-        for j = 0 to cells - 1 do
-          let c = Table.probes_at table ~step:t j in
-          if c > !mx then mx := c
-        done;
-        float_of_int !mx /. k)
+    Array.map (fun row -> float_of_int (Array.fold_left max 0 row) /. k) !by_step
   in
-  let mean_probes = float_of_int (Table.total_probes table) /. k in
-  Table.reset_counters table;
   finish ~cells ~per_cell ~per_step_max ~mean_probes
 
 let normalized_max r = float_of_int r.cells *. r.max_total

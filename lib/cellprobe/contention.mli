@@ -10,8 +10,8 @@
 
     Two routes are provided: {!exact} folds the probe specs ({!Spec.t})
     against the pmf symbolically (no sampling noise), and {!monte_carlo}
-    replays real instrumented queries and normalises the probe counters.
-    The test suite checks that the two agree. *)
+    replays real queries through a counting probe and normalises the
+    counts. The test suite checks that the two agree. *)
 
 type result = {
   cells : int;  (** [s], the table size. *)
@@ -30,13 +30,16 @@ val exact : cells:int -> qdist:Qdist.t -> spec:(int -> Spec.t) -> result
 val monte_carlo :
   table:Table.t ->
   qdist:Qdist.t ->
-  mem:(Lc_prim.Rng.t -> int -> bool) ->
+  mem:(probe:(step:int -> int -> int) -> Lc_prim.Rng.t -> int -> bool) ->
   rng:Lc_prim.Rng.t ->
   queries:int ->
   result
-(** [monte_carlo ~table ~qdist ~mem ~rng ~queries] resets the table's
-    probe counters, executes [queries] sampled queries through [mem], and
-    converts the counters into empirical contention. *)
+(** [monte_carlo ~table ~qdist ~mem ~rng ~queries] executes [queries]
+    sampled queries through [mem] (a core's query, as in
+    [Lc_dict.Dict_intf.S.mem]), passing a probe that reads [table] and
+    counts each visit per cell and per step in arrays local to the call,
+    and converts the counts into empirical contention. Reentrant: the
+    table is only read. *)
 
 val normalized_max : result -> float
 (** [normalized_max r] is [s * max_j Phi(j)] — contention relative to the

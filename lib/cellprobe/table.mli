@@ -1,14 +1,15 @@
-(** Instrumented cell-probe tables.
+(** Cell-probe tables.
 
     The paper's table [T_{S,q} : [s] -> {0,1}^b] of [s] cells of [b] bits
-    each. Cells hold OCaml integers constrained to [b <= 62] bits; every
-    {!read} is counted per cell and per probe step, which is exactly the
-    quantity [Y^{(t)}(x, j)] of Definition 1, so empirical contention
-    falls directly out of the counters.
+    each, and nothing more. Cells hold OCaml integers constrained to
+    [b <= 62] bits. A table keeps no probe counts: contention
+    (Definition 1) is a property of the probes queries make, so code
+    that wants it counts them in the probing function it passes
+    ({!Contention.monte_carlo}, the [lc_parallel] engine's per-domain
+    tallies).
 
-    Writes are construction-time operations and are not counted: the
-    paper measures the contention of {e queries} against a static
-    table. *)
+    Writes are construction-time operations: the paper measures the
+    contention of {e queries} against a static table. *)
 
 type t
 
@@ -28,36 +29,13 @@ val size : t -> int
 val bits : t -> int
 (** Cell width in bits, the paper's [b]. *)
 
-val read : t -> step:int -> int -> int
-(** [read t ~step j] probes cell [j] as the [step]-th probe (0-indexed)
-    of the running query, returning its contents and incrementing the
-    per-cell and per-step counters. *)
-
 val peek : t -> int -> int
-(** [peek t j] reads cell [j] {e without} counting a probe; for
-    construction, verification and debugging only. *)
+(** [peek t j] is the contents of cell [j]; every probe reads through
+    it. Reentrant: cells change only at construction. *)
 
 val write : t -> int -> int -> unit
-(** [write t j v] stores [v] in cell [j] (construction-time; uncounted).
+(** [write t j v] stores [v] in cell [j] (construction time only).
     Raises [Invalid_argument] if [v] does not fit in [bits t] bits. *)
-
-val probes : t -> int -> int
-(** [probes t j] is the total number of counted probes to cell [j] since
-    the last {!reset_counters}. *)
-
-val probes_at : t -> step:int -> int -> int
-(** [probes_at t ~step j] is the number of counted probes to cell [j]
-    made as probe number [step]. *)
-
-val total_probes : t -> int
-(** Total counted probes across all cells. *)
-
-val max_step : t -> int
-(** One past the largest step index seen since the last reset (0 if no
-    probes have been counted). *)
-
-val reset_counters : t -> unit
-(** Zero all probe counters (cell contents are untouched). *)
 
 val copy_cells : t -> int array
 (** Snapshot of all cell contents. *)

@@ -79,7 +79,7 @@ val core : t -> (module Lc_dict.Dict_intf.S)
 
 val instance : t -> Lc_dict.Instance.t
 (** The uniform experiment-facing instance ({!Lc_dict.Instance.of_core},
-    instrumented mode). *)
+    plain reads). *)
 
 val verify : t -> (unit, string) result
 (** Full structural invariant check ({!Verify.check}). *)

@@ -53,4 +53,5 @@ let query (t : Structure.t) r x =
   end
 
 let mem (t : Structure.t) rng x =
-  query t (Dict_intf.Sample { probe = Table.read t.table; rng; step = 0 }) x
+  let probe ~step:_ j = Table.peek t.table j in
+  query t (Dict_intf.Sample { probe; rng; step = 0 }) x

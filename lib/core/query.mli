@@ -27,5 +27,5 @@ val query : Structure.t -> Lc_dict.Dict_intf.reader -> int -> bool
     mode of {!Lc_dict.Instance} and behind {!Dictionary.spec}. *)
 
 val mem : Structure.t -> Lc_prim.Rng.t -> int -> bool
-(** [mem t rng x] is [query] with instrumented probes (counted by the
-    table's mutable counters; sequential use only). *)
+(** [mem t rng x] is [query] with plain reads ({!Lc_cellprobe.Table.peek});
+    reentrant. *)

@@ -7,8 +7,8 @@
     a module signature whose query procedure is {e parameterised by the
     probing function}: the algorithm decides {e which} cells to visit
     (and consumes its [Rng.t] only to pick replicas), while the caller
-    decides {e how} a visit is performed — counted against the table's
-    mutable counters, counter-free, or counted by the caller.
+    decides {e how} a visit is performed — a plain read, or a read the
+    caller counts. The table itself keeps no counts.
 
     A structure writes its query once, as [query t r x] over a
     {!reader} [r], reading every cell through {!point} (one fixed cell)
@@ -20,15 +20,13 @@
 
     This split is what makes one implementation serve three consumers:
 
-    - the sequential experiment harness (instrumented probes feeding
-      the {!Lc_cellprobe.Table} counters, as before);
-    - the spec cross-validation, which re-instruments any instance;
+    - the sequential experiment harness (plain reads);
+    - the code that counts probes: Monte-Carlo contention and the spec
+      cross-validation, each with its own counting probe;
     - the multicore serving engine ([lc_parallel]), which needs a
       reentrant query path it can drive from many domains at once.
 
-    Query code must never poke the table's counters directly
-    ([Table.read] from inside a query is deprecated); all probes flow
-    through the reader. *)
+    Query code reads cells only through the reader. *)
 
 module Rng = Lc_prim.Rng
 module Table = Lc_cellprobe.Table
@@ -36,10 +34,10 @@ module Spec = Lc_cellprobe.Spec
 
 type probe = step:int -> int -> int
 (** [probe ~step j] visits cell [j] as the [step]-th probe (0-indexed)
-    of the running query and returns the cell's contents. The
-    implementations live in {!Instance}: counting into the table
-    ({!Instance.instrumented}), plain reads ({!Instance.uninstrumented}),
-    or fetch-and-add on per-cell atomics ({!Instance.atomic}). *)
+    of the running query and returns the cell's contents. {!Instance}
+    has plain reads ({!Instance.uninstrumented}) and fetch-and-add on
+    per-cell atomics ({!Instance.atomic}); code that counts probes
+    passes its own. *)
 
 type reader =
   | Sample of { probe : probe; rng : Rng.t; mutable step : int }
@@ -71,10 +69,9 @@ module type S = sig
   (** Human-readable structure name for tables and reports. *)
 
   val table : Lc_cellprobe.Table.t
-  (** The shared cells. Cell {e contents} are written only at
-      construction time, so concurrent probing is safe; the table's
-      built-in probe counters are not, which is exactly why [mem] takes
-      the probing function as a parameter. *)
+  (** The shared cells. Cell contents are written only at construction
+      time, so concurrent probing is safe; whoever wants probes counted
+      counts them in the probing function [mem] takes. *)
 
   val space : int
   (** Number of cells, the paper's [s]. *)

@@ -8,13 +8,10 @@
     structure's one query. An {!t} wraps one core together with a chosen
     {e probing mode}, which decides what a probe physically does:
 
-    - {!instrumented} (the default, and what {!of_core} builds): every
-      probe goes through {!Lc_cellprobe.Table.read}, feeding the
-      per-cell/per-step counters the sequential experiments consume.
-      Not reentrant — the counters are plain mutable state.
-    - {!uninstrumented}: probes are plain reads
-      ({!Lc_cellprobe.Table.peek}); the query path is pure with respect
-      to shared state and therefore safe to run from many domains.
+    - {!uninstrumented} (the default, and what {!of_core} builds):
+      probes are plain reads ({!Lc_cellprobe.Table.peek}); the query
+      path is pure with respect to shared state and therefore safe to
+      run from many domains.
     - {!atomic}: probes are plain reads plus a fetch-and-add on a
       per-cell [Atomic.t] counter owned by the instance — reentrant
       {e and} counted. No serving path uses it: the [lc_parallel]
@@ -22,14 +19,16 @@
       it as a reference count, and [bench/e2e] prices it as
       [dict.tally_ns].
 
+    Code that counts probes passes its own probe to the core's [mem]:
+    {!contention_mc} and {!check_spec_against_mem} do, in state local
+    to the call.
+
     The record fields are exposed read-only by convention: consumers
     (experiments, the lower-bound game, tests) read [mem], [spec],
     [space], [max_probes], [name]; only the builders in this library and
-    [Lc_core.Dictionary] construct values, via {!of_core}. Query code
-    must not poke the table counters directly — see {!Dict_intf}. *)
+    [Lc_core.Dictionary] construct values, via {!of_core}. *)
 
 type mode =
-  | Instrumented  (** Probes counted by the table's mutable counters. *)
   | Uninstrumented  (** Counter-free plain reads; reentrant. *)
   | Atomic_counters  (** Per-cell [Atomic.t] counters; reentrant. *)
 
@@ -54,8 +53,7 @@ type t = {
 }
 
 val of_core : (module Dict_intf.S) -> t
-(** The canonical constructor: wrap a core in {!Instrumented} mode,
-    reproducing the historical (counter-poking) behaviour exactly. *)
+(** The canonical constructor: wrap a core in [Uninstrumented] mode. *)
 
 val mode : t -> mode
 
@@ -63,11 +61,6 @@ val core : t -> (module Dict_intf.S)
 (** The underlying implementation; callers that need a bespoke probing
     discipline (e.g. the parallel engine's cost models) drive its [mem]
     with their own {!Dict_intf.probe}. *)
-
-val instrumented : t -> t
-(** [instrumented t] shares [t]'s core and table but counts probes into
-    the table's mutable counters. Returns [t] itself if already in that
-    mode. *)
 
 val uninstrumented : t -> t
 (** [uninstrumented t] shares [t]'s core and table but performs
@@ -89,13 +82,13 @@ val contention_exact : t -> Lc_cellprobe.Qdist.t -> Lc_cellprobe.Contention.resu
 
 val contention_mc :
   t -> Lc_cellprobe.Qdist.t -> rng:Lc_prim.Rng.t -> queries:int -> Lc_cellprobe.Contention.result
-(** Monte-Carlo contention by replaying instrumented queries (the
-    instance is re-instrumented internally if in another mode). *)
+(** Monte-Carlo contention by replaying queries through the core's
+    [mem] ({!Lc_cellprobe.Contention.monte_carlo}); any mode. *)
 
 val check_spec_against_mem :
   t -> rng:Lc_prim.Rng.t -> queries:int array -> (unit, string) result
-(** Cross-validation used by the test suite: for each query, run [mem]
-    and confirm that every counted probe lands inside the support of the
-    corresponding [spec] step (and that probe counts match plan length).
-    Works for any mode — the core is re-instrumented internally, so an
-    {!uninstrumented} instance validates against the same plans. *)
+(** Cross-validation used by the test suite: for each query, run the
+    core's [mem] through a probe that records each [(step, cell)], and
+    confirm that it makes as many probes as [spec] plans, that probe [i]
+    is made as step [i], and that it lands inside the support of [spec]
+    step [i]. Works for any mode: the check drives the core directly. *)

@@ -81,7 +81,8 @@ let pred t r x =
 let query t r x = pred t r x = x
 
 let predecessor t rng x =
-  match pred t (Dict_intf.Sample { probe = Table.read t.table; rng; step = 0 }) x with
+  let probe ~step:_ j = Table.peek t.table j in
+  match pred t (Dict_intf.Sample { probe; rng; step = 0 }) x with
   | -1 -> None
   | y -> Some y
 

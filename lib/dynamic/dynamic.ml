@@ -8,6 +8,7 @@ type level = {
   index : int;
   keys : int array;  (* exactly 2^index keys *)
   replicas : Dictionary.t array;  (* >= 1 independently built copies *)
+  cores : (module Lc_dict.Dict_intf.S) array;  (* [Dictionary.core] of each replica *)
 }
 
 (* One Bentley–Saxe merge, as seen by the update-path observatory: the
@@ -94,7 +95,7 @@ let build_level t ~index keys =
         bi_cells = cells;
         bi_ns = ns;
       });
-  { index; keys = Array.copy keys; replicas }
+  { index; keys = Array.copy keys; replicas; cores = Array.map Dictionary.core replicas }
 
 let ensure_capacity t index =
   if index >= Array.length t.levels then begin
@@ -114,14 +115,12 @@ let mem t rng x =
         match t.levels.(i) with
         | None -> ()
         | Some l ->
-          let d = l.replicas.(Rng.int rng (Array.length l.replicas)) in
-          (* Same instrumented probes Dictionary.mem would make (feeding
-             the table's per-step counters), plus the dictionary-wide
-             cumulative tally behind [probes]. *)
-          let (module D : Lc_dict.Dict_intf.S) = Dictionary.core d in
-          let probe ~step j =
+          let (module D : Lc_dict.Dict_intf.S) = l.cores.(Rng.int rng (Array.length l.cores)) in
+          (* Plain reads, plus the dictionary-wide cumulative tally
+             behind [probes]. *)
+          let probe ~step:_ j =
             t.probe_count <- t.probe_count + 1;
-            Lc_cellprobe.Table.read D.table ~step j
+            Lc_cellprobe.Table.peek D.table j
           in
           if D.mem ~probe rng x then hit := true
     done;

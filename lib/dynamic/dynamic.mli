@@ -55,8 +55,9 @@ val delete : t -> int -> unit
     rebuild when tombstones reach half of the stored keys. *)
 
 val mem : t -> Lc_prim.Rng.t -> int -> bool
-(** Membership by instrumented probes into the level tables, largest
-    level first. *)
+(** Membership by plain reads of the level tables, largest level
+    first, each through one uniformly drawn replica's core (built once
+    per level); every probe adds to {!probes}. *)
 
 val size : t -> int
 (** Number of live keys. *)

@@ -4,10 +4,13 @@
     runs an accept loop on its own domain, answers [GET]/[HEAD] requests
     by exact path match against the supplied routes, and closes each
     connection after one response ([Connection: close], explicit
-    [Content-Length]). Handlers run serially on the server domain, so a
-    route that reads shared monitoring state only needs that state to be
-    safe against {e one} concurrent reader — which {!Window}'s
-    internally-locked readers are.
+    [Content-Length]). A client must send its whole request head within
+    a fixed deadline (2 s) of the accept, or is answered 408, so a
+    stalled client holds the server for no longer than that, and
+    {!stop} does not wait for it. Handlers run serially on the server
+    domain, so a route that reads shared monitoring state only needs
+    that state to be safe against {e one} concurrent reader — which
+    {!Window}'s internally-locked readers are.
 
     Not implemented (deliberately): keep-alive, chunked encoding,
     request bodies, TLS. This is a monitoring side-channel, not a
@@ -38,5 +41,6 @@ val port : t -> int
 (** The bound port — the actual one when [start] was given port 0. *)
 
 val stop : t -> unit
-(** Wake the server domain, join it, and close the listening socket.
-    Idempotent. *)
+(** Wake the server domain, join it, and close the listening socket. A
+    connection whose request head is still being read is dropped
+    unanswered. Idempotent. *)

@@ -39,13 +39,12 @@ let make_locks ~cost ~space =
    the worker's own [tally] (a plain store into an array no other domain
    writes), optionally serialising visits to the same cell through a
    shared per-cell test-and-set spinlock. Cell contents are only ever
-   read ([Table.peek]); the table's own mutable counters are untouched,
-   which is what makes the query path reentrant. A read-only table
-   causes no coherence traffic, so under [Free] the only lines the
-   workers share are the cells they read; the locks are the one shared
-   write, and they are the contention model. This is the telemetry-free
-   discipline, used by every static run that has neither [obs] nor a
-   monitor. *)
+   read ([Table.peek]), which is what makes the query path reentrant. A
+   read-only table causes no coherence traffic, so under [Free] the only
+   lines the workers share are the cells they read; the locks are the
+   one shared write, and they are the contention model. This is the
+   telemetry-free discipline, used by every static run that has neither
+   [obs] nor a monitor. *)
 let make_probe ~cost ~tally ~locks table : Lc_dict.Dict_intf.probe =
   match cost with
   | Free ->

@@ -314,16 +314,32 @@ let test_query_negative () =
 
 let test_query_probe_budget () =
   let dict, keys = build 12 512 in
-  let s = Dictionary.structure dict in
+  let (module D : Lc_dict.Dict_intf.S) = Dictionary.core dict in
   let rng = Rng.create 1002 in
+  let used = ref 0 in
+  let probe ~step j =
+    used := max !used (step + 1);
+    Table.peek D.table j
+  in
   let drill x =
-    Table.reset_counters s.table;
-    ignore (Dictionary.mem dict rng x);
-    checkb "within budget" true (Table.max_step s.table <= Dictionary.max_probes dict)
+    used := 0;
+    ignore (D.mem ~probe rng x);
+    checkb "within budget" true (!used <= Dictionary.max_probes dict)
   in
   Array.iter drill (Array.sub keys 0 64);
-  Array.iter drill (Keyset.negatives rng ~universe ~keys ~count:64);
-  Table.reset_counters s.table
+  Array.iter drill (Keyset.negatives rng ~universe ~keys ~count:64)
+
+(* A query only reads: the table's heap is its cells and width, the
+   same after queries as when built. *)
+let test_query_leaves_table () =
+  let dict, keys = build 15 4096 in
+  let table = (Dictionary.structure dict).table in
+  let words () = Obj.reachable_words (Obj.repr table) in
+  let before = words () in
+  let rng = Rng.create 1005 in
+  Array.iter (fun x -> ignore (Dictionary.mem dict rng x : bool)) (Array.sub keys 0 64);
+  checki "reachable words unchanged" before (words ());
+  checkb "cells and width only" true (before <= Table.size table + 8)
 
 let test_query_spec_matches_mem () =
   let dict, keys = build 13 256 in
@@ -754,6 +770,7 @@ let () =
           Alcotest.test_case "positive" `Quick test_query_positive;
           Alcotest.test_case "negative" `Quick test_query_negative;
           Alcotest.test_case "probe budget" `Quick test_query_probe_budget;
+          Alcotest.test_case "leaves its table as built" `Quick test_query_leaves_table;
           Alcotest.test_case "spec matches mem" `Quick test_query_spec_matches_mem;
           Alcotest.test_case "spec catches disagreeing copies" `Quick
             test_query_spec_catches_bad_copies;

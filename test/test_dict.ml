@@ -47,17 +47,20 @@ let spec_drill name (inst : Instance.t) keys =
 
 let probes_drill name (inst : Instance.t) keys =
   let rng = Rng.create 555 in
-  let table = inst.table in
+  let (module D : Lc_dict.Dict_intf.S) = inst.core in
+  let used = ref 0 in
+  let probe ~step j =
+    used := max !used (step + 1);
+    Lc_cellprobe.Table.peek D.table j
+  in
   Array.iter
     (fun x ->
-      Lc_cellprobe.Table.reset_counters table;
-      ignore (inst.mem rng x);
-      let used = Lc_cellprobe.Table.max_step table in
+      used := 0;
+      ignore (D.mem ~probe rng x);
       checkb
-        (Printf.sprintf "%s: %d probes within budget %d" name used inst.max_probes)
-        true (used <= inst.max_probes))
-    (Array.sub keys 0 (min 50 (Array.length keys)));
-  Lc_cellprobe.Table.reset_counters table
+        (Printf.sprintf "%s: %d probes within budget %d" name !used inst.max_probes)
+        true (!used <= inst.max_probes))
+    (Array.sub keys 0 (min 50 (Array.length keys)))
 
 (* ------------------------------------------------------------------ *)
 (* Sorted array                                                         *)

@@ -26,6 +26,20 @@ let test_empty () =
   checkb "no member" false (Dynamic.mem t rng 5);
   checki "no cells" 0 (Dynamic.space t)
 
+(* Queries only read: 1,000 of them leave the structure's heap as
+   built. *)
+let test_mem_leaves_structure () =
+  let t = fresh 40 in
+  let keys = Keyset.random (Rng.create 41) ~universe ~n:4096 in
+  Array.iter (Dynamic.insert t) keys;
+  let words () = Obj.reachable_words (Obj.repr t) in
+  let before = words () in
+  let rng = Rng.create 42 in
+  for i = 0 to 999 do
+    checkb "key present" true (Dynamic.mem t rng keys.(i))
+  done;
+  checki "reachable words unchanged" before (words ())
+
 let test_insert_mem () =
   let t = fresh 3 in
   let rng = Rng.create 4 in
@@ -465,6 +479,8 @@ let () =
         [
           Alcotest.test_case "empty" `Quick test_empty;
           Alcotest.test_case "insert/mem" `Quick test_insert_mem;
+          Alcotest.test_case "mem leaves the structure as built" `Quick
+            test_mem_leaves_structure;
           Alcotest.test_case "insert idempotent" `Quick test_insert_idempotent;
           Alcotest.test_case "delete" `Quick test_delete;
           Alcotest.test_case "reinsert after delete" `Quick test_reinsert_after_delete;

@@ -729,41 +729,58 @@ let test_window_gc_view () =
 (* Http                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let http_get port target =
+(* The test's sockets time out on receive, so a server that never
+   answers fails a test instead of hanging it. *)
+let http_connect port =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (try
+     Unix.setsockopt_float sock Unix.SO_RCVTIMEO 10.0;
+     Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+   with e ->
+     Unix.close sock;
+     raise e);
+  sock
+
+(* A whole reply, read until the server closes: its status and body. *)
+let http_reply sock =
+  let buf = Buffer.create 1024 in
+  let chunk = Bytes.create 4096 in
+  let rec drain () =
+    let k = Unix.read sock chunk 0 (Bytes.length chunk) in
+    if k > 0 then begin
+      Buffer.add_subbytes buf chunk 0 k;
+      drain ()
+    end
+  in
+  drain ();
+  let raw = Buffer.contents buf in
+  let status =
+    match String.split_on_char ' ' raw with
+    | _ :: code :: _ -> int_of_string code
+    | _ -> -1
+  in
+  let body =
+    let rec find i =
+      if i + 3 >= String.length raw then String.length raw
+      else if raw.[i] = '\r' && raw.[i + 1] = '\n' && raw.[i + 2] = '\r' && raw.[i + 3] = '\n'
+      then i + 4
+      else find (i + 1)
+    in
+    let s = find 0 in
+    String.sub raw s (String.length raw - s)
+  in
+  (status, body)
+
+let http_close sock = try Unix.close sock with Unix.Unix_error (_, _, _) -> ()
+
+let http_get port target =
+  let sock = http_connect port in
   Fun.protect
-    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error (_, _, _) -> ())
+    ~finally:(fun () -> http_close sock)
     (fun () ->
-      Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
       let req = Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" target in
       ignore (Unix.write_substring sock req 0 (String.length req) : int);
-      let buf = Buffer.create 1024 in
-      let chunk = Bytes.create 4096 in
-      let rec drain () =
-        let k = Unix.read sock chunk 0 (Bytes.length chunk) in
-        if k > 0 then begin
-          Buffer.add_subbytes buf chunk 0 k;
-          drain ()
-        end
-      in
-      drain ();
-      let raw = Buffer.contents buf in
-      let status =
-        match String.split_on_char ' ' raw with
-        | _ :: code :: _ -> int_of_string code
-        | _ -> -1
-      in
-      let body =
-        let rec find i =
-          if i + 3 >= String.length raw then String.length raw
-          else if raw.[i] = '\r' && raw.[i + 1] = '\n' && raw.[i + 2] = '\r' && raw.[i + 3] = '\n'
-          then i + 4
-          else find (i + 1)
-        in
-        let s = find 0 in
-        String.sub raw s (String.length raw - s)
-      in
-      (status, body))
+      http_reply sock)
 
 let test_http_routes () =
   let hits = ref 0 in
@@ -798,6 +815,47 @@ let test_http_routes () =
        ignore (http_get (Http.port server) "/metrics");
        false
      with Unix.Unix_error (_, _, _) -> true)
+
+(* A client that sends half a request line and stalls holds the
+   server for at most its request deadline (2 s): it is answered 408, a
+   second scrape still gets its reply, and a stop interrupts a stalled
+   read at once. *)
+let test_http_stalled_client () =
+  let deadline = 2.0 and margin = 3.0 in
+  let server = Http.start ~port:0 [ ("/healthz", fun () -> Http.text "ok\n") ] in
+  let stall () =
+    let sock = http_connect (Http.port server) in
+    ignore (Unix.write_substring sock "GET /hea" 0 8 : int);
+    sock
+  in
+  let stalled = ref [] in
+  let elapsed f =
+    let t0 = Unix.gettimeofday () in
+    let v = f () in
+    (v, Unix.gettimeofday () -. t0)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter http_close !stalled;
+      Http.stop server)
+    (fun () ->
+      let first = stall () in
+      stalled := [ first ];
+      let (status, body), dt = elapsed (fun () -> http_get (Http.port server) "/healthz") in
+      checki "second scrape answered" 200 status;
+      checks "second scrape body" "ok\n" body;
+      checkb
+        (Printf.sprintf "second scrape within %.0f s (took %.2f s)" (deadline +. margin) dt)
+        true
+        (dt < deadline +. margin);
+      checki "stalled client answered 408" 408 (fst (http_reply first));
+      stalled := stall () :: !stalled;
+      Unix.sleepf 0.2;
+      let (), dt = elapsed (fun () -> Http.stop server) in
+      checkb
+        (Printf.sprintf "stop interrupts a stalled read (took %.2f s)" dt)
+        true
+        (dt < deadline /. 2.0))
 
 (* ------------------------------------------------------------------ *)
 (* Engine acceptance                                                    *)
@@ -1356,7 +1414,10 @@ let () =
           Alcotest.test_case "gc view" `Quick test_window_gc_view;
         ] );
       ( "http",
-        [ Alcotest.test_case "routes, errors, stop" `Quick test_http_routes ] );
+        [
+          Alcotest.test_case "routes, errors, stop" `Quick test_http_routes;
+          Alcotest.test_case "stalled client holds nothing" `Quick test_http_stalled_client;
+        ] );
       ( "monitored serving",
         [
           Alcotest.test_case "sketch agrees with exact counts" `Quick
