@@ -165,20 +165,13 @@ let tests =
                  Lc_obs.Heavy.observe s !v));
           Test.make ~name:"window_publish"
             (let obs = Lc_obs.Obs.create () in
-             ignore (Lc_obs.Metrics.counter obs.metrics "bench_q_total" : Lc_obs.Metrics.counter);
+             ignore
+               (Lc_obs.Metrics.counter obs.metrics Lc_obs.Window.queries_counter
+                 : Lc_obs.Metrics.counter);
              let sh = Lc_obs.Obs.shard obs ~domain:0 in
              let w =
                Lc_obs.Window.create obs.metrics
-                 {
-                   Lc_obs.Window.ring_capacity = 8;
-                   queries_counter = "bench_q_total";
-                   probes_counter = "bench_q_total";
-                   latency_histogram = "bench_q_total";
-                   space = 1024;
-                   max_probes = 4;
-                   top_k = 16;
-                   alert_factor = 8.0;
-                 }
+                 { Lc_obs.Window.space = 1024; max_probes = 4; top_k = 16; alert_factor = 8.0 }
                  ~publishers:1
              in
              let pub = Lc_obs.Window.publisher w 0 in

@@ -256,7 +256,7 @@ let profile seed n universe_opt dist structure domains queries cost_spec out =
     r.total_probes r.hottest_cell r.hottest_count
     (Lc_parallel.Engine.hotspot_ratio r)
     r.flat_bound;
-  (match Lc_obs.Metrics.Snapshot.find_hist snap "engine_query_latency_ns" with
+  (match Lc_obs.Metrics.Snapshot.find_hist snap Lc_obs.Window.latency_histogram with
   | Some h ->
     let q p = Lc_obs.Metrics.Snapshot.quantile h p /. 1e3 in
     Printf.printf "Query latency: p50 %.1f us, p90 %.1f us, p99 %.1f us, max %.1f us.\n" (q 0.5)
@@ -314,7 +314,8 @@ let port_arg =
         ~doc:
           "Serve /metrics, /snapshot.json, /cells.json, /windows.json, /updates.json, \
            /scaling.json, /control.json and /healthz on 127.0.0.1:$(docv) during the run \
-           (0 picks an ephemeral port).")
+           (0 picks an ephemeral port). Every JSON route but /snapshot.json serves a \
+           schema-versioned document that $(b,lowcon validate) checks.")
 
 let top_k_arg =
   Arg.(
@@ -657,8 +658,8 @@ let monitor_run seed n universe_opt dist structure domains queries cost_spec win
   Printf.printf "Hottest cell %d: %d probes, %.1fx the flat bound %.1f (exact).\n" r.hottest_cell
     r.hottest_count (Engine.hotspot_ratio r) r.flat_bound;
   (* Cache-line co-heat: how much probe traffic lands next to other
-     traffic on the same line — the false-sharing signature. Exact
-     per-cell counts exist only for static runs. *)
+     traffic on the same line — the false-sharing signature. A dynamic
+     run's counts are its final snapshot's tallies. *)
   (if Array.length r.Engine.counts > 0 then
      let ch = Lc_analysis.Coheat.of_counts r.Engine.counts in
      if ch.Lc_analysis.Coheat.total > 0 then
@@ -1062,6 +1063,8 @@ let documents =
       validator Postmortem.document;
       validator Diff.document;
       validator Lc_lint.Report.document;
+      validator Engine.Monitor.cells_document;
+      validator Engine.Monitor.windows_document;
       validator Engine.Monitor.updates_document;
       validator Engine.Monitor.scaling_document;
       validator Engine.Monitor.control_document;
@@ -1146,8 +1149,9 @@ let validate_cmd =
          "Grammar-check artifacts by decoding them against their schemas: BENCH_*.json \
           (lowcon-bench), lowcon scale sweeps (lowcon-scaling), postmortem dumps \
           (lowcon-postmortem), perf diff reports (lowcon-perf-diff), lint reports \
-          (lowcon-lint), and /updates.json, /scaling.json and /control.json scrapes \
-          (lowcon-updates, lowcon-scaling-live, lowcon-control); SARIF structurally, metrics \
+          (lowcon-lint), and /cells.json, /windows.json, /updates.json, /scaling.json and \
+          /control.json scrapes (lowcon-cells, lowcon-windows, lowcon-updates, \
+          lowcon-scaling-live, lowcon-control); SARIF structurally, metrics \
           JSON for its counters object, and .prom files against the Prometheus exposition \
           line grammar with one # TYPE line per family. One pass/fail line per file; exit 1 \
           if any file fails.")

@@ -35,7 +35,6 @@ type t = {
   mutable stored : int;  (* keys across levels, tombstones included *)
   mutable keys_rebuilt : int;
   mutable purges : int;
-  mutable probe_count : int;  (* cumulative cell probes issued by [mem] *)
   (* Update-path accounting, builder-owned like everything above: every
      level build adds its exact written-cell count (the write half of
      write amplification), bumps the rebuild counter and accumulates the
@@ -63,7 +62,6 @@ let create ?(small_level_boost = 1) rng ~universe () =
     stored = 0;
     keys_rebuilt = 0;
     purges = 0;
-    probe_count = 0;
     cells_written = 0;
     rebuilds = 0;
     rebuild_ns = 0;
@@ -116,12 +114,7 @@ let mem t rng x =
         | None -> ()
         | Some l ->
           let (module D : Lc_dict.Dict_intf.S) = l.cores.(Rng.int rng (Array.length l.cores)) in
-          (* Plain reads, plus the dictionary-wide cumulative tally
-             behind [probes]. *)
-          let probe ~step:_ j =
-            t.probe_count <- t.probe_count + 1;
-            Lc_cellprobe.Table.peek D.table j
-          in
+          let probe ~step:_ j = Lc_cellprobe.Table.peek D.table j in
           if D.mem ~probe rng x then hit := true
     done;
     !hit
@@ -252,28 +245,17 @@ let level_sizes t =
 
 let keys_rebuilt t = t.keys_rebuilt
 let purges t = t.purges
-let probes t = t.probe_count
 let cells_written t = t.cells_written
 let rebuilds t = t.rebuilds
 let rebuild_ns t = t.rebuild_ns
 let set_build_hook t f = t.build_hook <- Some f
 let clear_build_hook t = t.build_hook <- None
 
-type level_view = {
-  lv_index : int;
-  lv_keys : int array;
-  lv_replicas : Dictionary.t array;
-}
+let levels t =
+  Array.fold_left (fun acc lvl -> match lvl with None -> acc | Some l -> l :: acc) [] t.levels
 
-let level_views t =
-  Array.to_list t.levels
-  |> List.filter_map
-       (Option.map (fun l ->
-            (* lv_replicas is the level's own replica array, NOT a copy:
-               its physical identity is stable for the level's whole
-               lifetime (rebuilds allocate a fresh level record), which
-               is exactly what Epoch keys its snapshot cache on. *)
-            { lv_index = l.index; lv_keys = Array.copy l.keys; lv_replicas = l.replicas }))
+let level_index l = l.index
+let level_cores l = l.cores
 
 let tombstone_keys t =
   Hashtbl.fold (fun x () acc -> x :: acc) t.deleted [] |> List.sort compare

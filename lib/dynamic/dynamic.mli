@@ -57,7 +57,7 @@ val delete : t -> int -> unit
 val mem : t -> Lc_prim.Rng.t -> int -> bool
 (** Membership by plain reads of the level tables, largest level
     first, each through one uniformly drawn replica's core (built once
-    per level); every probe adds to {!probes}. *)
+    per level). *)
 
 val size : t -> int
 (** Number of live keys. *)
@@ -92,11 +92,6 @@ val keys_rebuilt : t -> int
 
 val purges : t -> int
 (** Number of global tombstone purges. *)
-
-val probes : t -> int
-(** Cumulative cell probes issued by {!mem} since creation (across all
-    rebuilds — unlike the per-table counters, this survives levels being
-    discarded). *)
 
 val cells_written : t -> int
 (** Exact cells written by level builds since creation: every
@@ -133,20 +128,21 @@ val set_build_hook : t -> (build_info -> unit) -> unit
 val clear_build_hook : t -> unit
 (** Remove the build hook, if any. *)
 
-type level_view = {
-  lv_index : int;  (** The level's index [i]; it holds [2^i] keys. *)
-  lv_keys : int array;  (** The stored keys (tombstones included), a copy. *)
-  lv_replicas : Lc_core.Dictionary.t array;
-      (** The level's replica array — {e not} a copy. Its physical
-          identity is stable for the level's whole lifetime (every
-          rebuild allocates a fresh level), so callers may use it as the
-          level's identity token across calls; {!Epoch} keys its
-          snapshot cache on exactly this. Treat as read-only. *)
-}
+type level
+(** One non-empty level as it was built: its keys and its replicas'
+    cores. A level is never changed in place: every (re)build allocates
+    a fresh one, so a level's physical identity names one build, and
+    {!Epoch} keys its snapshot cache on it. *)
 
-val level_views : t -> level_view list
-(** The non-empty levels, ascending by index — the introspection hook
-    {!Epoch} snapshots from. *)
+val levels : t -> level list
+(** The non-empty levels, largest index first (the order queries probe
+    them) — what {!Epoch} publishes. *)
+
+val level_index : level -> int
+(** The level's index [i]; it holds [2^i] keys. *)
+
+val level_cores : level -> (module Lc_dict.Dict_intf.S) array
+(** The cores of the level's replicas, built once with the level. *)
 
 val tombstone_keys : t -> int list
 (** The currently tombstoned keys, sorted ascending. *)

@@ -1,17 +1,15 @@
 module Rng = Lc_prim.Rng
 module Table = Lc_cellprobe.Table
-module Dictionary = Lc_core.Dictionary
 
 exception Freed_level of { epoch : int; level : int }
 
-(* One published level: the immutable replica tables of a Dynamic level,
-   plus per-replica/per-cell atomic probe tallies and the poison flag
+(* One published level: a Dynamic level as it was built, plus
+   per-replica/per-cell atomic probe tallies and the poison flag
    reclamation sets when the level's memory is handed back. The record is
-   shared by every snapshot that contains the level; [identity] (the
-   Dynamic level's own replica array) is the token the builder's cache is
-   keyed on. *)
+   shared by every snapshot that contains the level; [level] is the token
+   the builder's cache is keyed on (a rebuild allocates a fresh one). *)
 type elevel = {
-  el_index : int;
+  level : Dynamic.level;
   cores : (module Lc_dict.Dict_intf.S) array;
   tables : Table.t array;
   counters : int Atomic.t array array;  (* per replica, per cell *)
@@ -19,7 +17,6 @@ type elevel = {
   el_space : int;
   el_max_probes : int;  (* max over replicas *)
   freed : bool Atomic.t;
-  identity : Dictionary.t array;
 }
 
 type snapshot = {
@@ -52,8 +49,7 @@ type t = {
   mutable applied_request_id : int;  (* builder-owned *)
   (* Builder-owned bookkeeping (single-writer by protocol; never touched
      on the read path): *)
-  mutable cache : (Dictionary.t array * elevel) list;
-      (* levels of the current snapshot, keyed by physical identity *)
+  mutable cache : elevel list;  (* levels of the current snapshot *)
   mutable retired : (int * elevel) list;  (* (retiring publication epoch, level) *)
   mutable publications : int;
   mutable reclaimed : int;
@@ -87,8 +83,8 @@ type reader = {
 
 let no_observe (_ : int) = ()
 
-let make_elevel (v : Dynamic.level_view) =
-  let cores = Array.map Dictionary.core v.lv_replicas in
+let make_elevel level =
+  let cores = Dynamic.level_cores level in
   let tables =
     Array.map (fun c -> let (module D : Lc_dict.Dict_intf.S) = c in D.table) cores
   in
@@ -109,7 +105,7 @@ let make_elevel (v : Dynamic.level_view) =
       0 cores
   in
   {
-    el_index = v.lv_index;
+    level;
     cores;
     tables;
     counters;
@@ -117,23 +113,21 @@ let make_elevel (v : Dynamic.level_view) =
     el_space = !total;
     el_max_probes;
     freed = Atomic.make false;
-    identity = v.lv_replicas;
   }
 
 (* Build the next snapshot from the inner dictionary's current levels,
-   reusing published elevels for levels whose identity is unchanged (so
-   their probe tallies keep accumulating across publications). Returns
-   the snapshot and the refreshed cache. Builder-only. *)
+   reusing published elevels for levels that were not rebuilt (so their
+   probe tallies keep accumulating across publications). Returns the
+   snapshot and the refreshed cache. Builder-only. *)
 let snapshot_of_inner t ~epoch =
-  let views = List.rev (Dynamic.level_views t.inner) (* largest first *) in
   let levels =
     Array.of_list
       (List.map
-         (fun (v : Dynamic.level_view) ->
-           match List.assq_opt v.lv_replicas t.cache with
+         (fun level ->
+           match List.find_opt (fun el -> el.level == level) t.cache with
            | Some el -> el
-           | None -> make_elevel v)
-         views)
+           | None -> make_elevel level)
+         (Dynamic.levels t.inner))
   in
   let bases = Array.make (Array.length levels) 0 in
   let total = ref 0 in
@@ -154,10 +148,13 @@ let snapshot_of_inner t ~epoch =
       snap_live = Dynamic.size t.inner;
       snap_universe = Dynamic.universe t.inner;
     },
-    Array.to_list (Array.map (fun l -> (l.identity, l)) levels) )
+    Array.to_list levels )
 
-let create ?small_level_boost ?(max_readers = 64) rng ~universe () =
-  if max_readers < 1 then invalid_arg "Epoch.create: max_readers must be >= 1";
+(* The reader slots of a published dictionary: at most this many
+   [reader] registrations. *)
+let max_readers = 64
+
+let create ?small_level_boost rng ~universe () =
   let inner = Dynamic.create ?small_level_boost rng ~universe () in
   let t =
     {
@@ -222,16 +219,12 @@ let publish_stats t =
   (* Levels of the outgoing cache that the new snapshot no longer
      references retire at this publication's epoch: a reader announcing
      an epoch >= snap.epoch can only reach the new snapshot. *)
-  let dropped =
-    List.filter (fun (id, _) -> not (List.mem_assq id cache)) t.cache
-  in
+  let dropped = List.filter (fun el -> not (List.memq el cache)) t.cache in
   (* Levels in the new snapshot the outgoing cache did not hold were
      materialised by this publication — the write half of the epoch's
      work, reported exactly. *)
-  let fresh =
-    List.filter (fun (id, _) -> not (List.mem_assq id t.cache)) cache
-  in
-  t.retired <- List.map (fun (_, el) -> (snap.epoch, el)) dropped @ t.retired;
+  let fresh = List.filter (fun el -> not (List.memq el t.cache)) cache in
+  t.retired <- List.map (fun el -> (snap.epoch, el)) dropped @ t.retired;
   t.cache <- cache;
   t.publications <- t.publications + 1;
   let batch = t.pending_updates in
@@ -246,7 +239,7 @@ let publish_stats t =
     pi_batch = batch;
     pi_levels = Array.length snap.levels;
     pi_fresh_levels = List.length fresh;
-    pi_fresh_cells = List.fold_left (fun a (_, el) -> a + el.el_space) 0 fresh;
+    pi_fresh_cells = List.fold_left (fun a el -> a + el.el_space) 0 fresh;
     pi_dur_ns = ns;
   }
 
@@ -398,81 +391,55 @@ let tombstoned (deleted : int array) x =
     !found
   end
 
-let mem t r x =
-  let s = pin r t in
+(* One query's walk over the pinned snapshot [s]: largest level first,
+   like Dynamic.mem, stopping at the first hit; tombstones answer false
+   without probing. The caller pins before and unpins after. The error
+   paths (invalid key, poisoned level) unpin here, because they abort
+   the run. *)
+let walk r s x =
   if x < 0 || x >= s.snap_universe then begin
     unpin r;
     invalid_arg "Epoch.mem: key outside universe"
   end;
-  let answer =
-    if tombstoned s.deleted x then false
-    else begin
-      (* Largest level first, like Dynamic.mem; stop at the first hit. *)
-      let hit = ref false in
-      let nl = Array.length s.levels in
-      let i = ref 0 in
-      while (not !hit) && !i < nl do
-        let l = s.levels.(!i) in
-        (* Poison check: under a correct reclamation protocol this is
-           unreachable; the concurrent property test exists to prove it
-           stays that way. *)
-        if Atomic.get l.freed then begin
-          unpin r;
-          raise (Freed_level { epoch = s.epoch; level = l.el_index })
-        end;
-        let rep = Rng.int r.r_rng (Array.length l.cores) in
-        r.cur_counters <- l.counters.(rep);
-        r.cur_table <- l.tables.(rep);
-        r.cur_base <- s.bases.(!i) + l.rep_base.(rep);
-        let (module D : Lc_dict.Dict_intf.S) = l.cores.(rep) in
-        if D.mem ~probe:r.probe r.r_rng x then hit := true;
-        incr i
-      done;
-      !hit
-    end
-  in
+  if tombstoned s.deleted x then false
+  else begin
+    let hit = ref false in
+    let nl = Array.length s.levels in
+    let i = ref 0 in
+    while (not !hit) && !i < nl do
+      let l = s.levels.(!i) in
+      (* Poison check: under a correct reclamation protocol this is
+         unreachable; the concurrent property test exists to prove it
+         stays that way. *)
+      if Atomic.get l.freed then begin
+        unpin r;
+        raise (Freed_level { epoch = s.epoch; level = Dynamic.level_index l.level })
+      end;
+      let rep = Rng.int r.r_rng (Array.length l.cores) in
+      r.cur_counters <- l.counters.(rep);
+      r.cur_table <- l.tables.(rep);
+      r.cur_base <- s.bases.(!i) + l.rep_base.(rep);
+      let (module D : Lc_dict.Dict_intf.S) = l.cores.(rep) in
+      if D.mem ~probe:r.probe r.r_rng x then hit := true;
+      incr i
+    done;
+    !hit
+  end
+
+let mem t r x =
+  let s = pin r t in
+  let answer = walk r s x in
   unpin r;
   answer
 
-(* Phase-accounted variant of [mem] for monitored readers: the same
-   probe protocol, plus monotonic timing of the pin and unpin
-   announcement windows accumulated into the reader-owned [r_pin_ns]
-   scratch. The probe loop is duplicated from [mem] deliberately — the
-   untimed path must stay byte-identical for obs-off runs, and sharing
-   an inner function would put an extra call (and clock plumbing) in
-   it. Keep the two loops in sync. Error paths (invalid key, poisoned
-   level) unpin without charging the pin phase: they abort the run. *)
+(* [mem] for monitored readers: the same walk, plus monotonic timing of
+   the pin and unpin announcement windows, accumulated into the
+   reader-owned [r_pin_ns] scratch. *)
 let mem_phased t r x =
   let p0 = Monotonic_clock.now () in
   let s = pin r t in
   let p1 = Monotonic_clock.now () in
-  if x < 0 || x >= s.snap_universe then begin
-    unpin r;
-    invalid_arg "Epoch.mem: key outside universe"
-  end;
-  let answer =
-    if tombstoned s.deleted x then false
-    else begin
-      let hit = ref false in
-      let nl = Array.length s.levels in
-      let i = ref 0 in
-      while (not !hit) && !i < nl do
-        let l = s.levels.(!i) in
-        if Atomic.get l.freed then begin
-          unpin r;
-          raise (Freed_level { epoch = s.epoch; level = l.el_index })
-        end;
-        let rep = Rng.int r.r_rng (Array.length l.cores) in
-        r.cur_counters <- l.counters.(rep);
-        r.cur_table <- l.tables.(rep);
-        r.cur_base <- s.bases.(!i) + l.rep_base.(rep);
-        let (module D : Lc_dict.Dict_intf.S) = l.cores.(rep) in
-        if D.mem ~probe:r.probe r.r_rng x then hit := true;
-        incr i
-      done;
-      !hit
-    end
-  in
+  let answer = walk r s x in
   let u0 = Monotonic_clock.now () in
   unpin r;
   let u1 = Monotonic_clock.now () in
@@ -529,6 +496,6 @@ let total_probes t =
   (* Live (cached) levels + retired-but-unfreed levels + drained tallies
      of freed levels: every probe any reader ever made is in exactly one
      of the three buckets. *)
-  let live = List.fold_left (fun acc (_, el) -> acc + drain_elevel el) 0 t.cache in
+  let live = List.fold_left (fun acc el -> acc + drain_elevel el) 0 t.cache in
   let pending = List.fold_left (fun acc (_, el) -> acc + drain_elevel el) 0 t.retired in
   t.drained_probes + live + pending

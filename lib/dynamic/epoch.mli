@@ -60,17 +60,11 @@ exception Freed_level of { epoch : int; level : int }
 (** Raised by {!mem} if a query ever observes a reclaimed level — the
     poisoned state a correct protocol makes unreachable. *)
 
-val create :
-  ?small_level_boost:int ->
-  ?max_readers:int ->
-  Lc_prim.Rng.t ->
-  universe:int ->
-  unit ->
-  t
-(** An empty published dictionary over [0, universe). The initial
-    snapshot (epoch 0) has no levels, so every query answers [false].
-    [small_level_boost] is {!Dynamic.create}'s replication knob;
-    [max_readers] (default 64) bounds {!reader} registrations. *)
+val create : ?small_level_boost:int -> Lc_prim.Rng.t -> universe:int -> unit -> t
+(** An empty published dictionary over [0, universe), with room for 64
+    {!reader}s. The initial snapshot (epoch 0) has no levels, so every
+    query answers [false]. [small_level_boost] is {!Dynamic.create}'s
+    replication knob. *)
 
 (** {2 Builder side — one domain only} *)
 
@@ -170,7 +164,7 @@ val apply_boost_request : t -> boost_applied option
 
 val reader : t -> Lc_prim.Rng.t -> reader
 (** Register a reader owning [rng] (replica balancing only). Raises
-    [Invalid_argument] once [max_readers] slots are taken. Registration
+    [Invalid_argument] once 64 readers are registered. Registration
     is safe from any domain; the returned reader belongs to exactly
     one. *)
 
@@ -182,13 +176,14 @@ val mem : t -> reader -> int -> bool
     hook with the snapshot-global cell id. *)
 
 val mem_phased : t -> reader -> int -> bool
-(** {!mem} with phase accounting: additionally times the pin and unpin
-    announcement windows with the monotonic clock and accumulates the
-    nanoseconds into a reader-owned counter ({!reader_pin_ns}). Answers
-    and probe accounting are identical to {!mem}; the only extra cost is
-    four clock reads per query. The engine's monitored dynamic path uses
-    this so epoch-protocol overhead shows up as its own phase instead of
-    being folded into probe work. *)
+(** {!mem} with phase accounting: the same level walk, plus the pin and
+    unpin announcement windows timed with the monotonic clock and the
+    nanoseconds accumulated into a reader-owned counter
+    ({!reader_pin_ns}). Answers and probe accounting are identical to
+    {!mem}; the only extra cost is four clock reads per query. The
+    engine's monitored dynamic path uses this so epoch-protocol overhead
+    shows up as its own phase instead of being folded into probe
+    work. *)
 
 val reader_pin_ns : reader -> int
 (** Cumulative nanoseconds {!mem_phased} spent announcing (pin) and

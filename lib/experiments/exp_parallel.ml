@@ -76,7 +76,9 @@ let t12 =
                     let r = o.Engine.result in
                     let snap = Lc_obs.Obs.snapshot obs in
                     let lat_q q =
-                      match Lc_obs.Metrics.Snapshot.find_hist snap "engine_query_latency_ns" with
+                      match
+                        Lc_obs.Metrics.Snapshot.find_hist snap Lc_obs.Window.latency_histogram
+                      with
                       | Some h -> Lc_obs.Metrics.Snapshot.quantile h q /. 1e3
                       | None -> 0.0
                     in

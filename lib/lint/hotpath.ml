@@ -73,13 +73,14 @@ let default_manifest =
     (* acquire/release are the parked-pin variants of pin/unpin;
        reader_lag/reader_staleness are the epoch-lifecycle gauges the
        monitor scrapes per window cut while readers probe — none may
-       allocate. mem_phased is the instrumented variant of mem that
-       also attributes pin time — it runs per query whenever phase
+       allocate. walk is the level walk mem and mem_phased share.
+       mem_phased is the instrumented variant of mem that also
+       attributes pin time — it runs per query whenever phase
        accounting is on, so it belongs in the audit even though its
        clock reads carry a documented boxed-Int64 suppression. *)
     ( "lib/dynamic/epoch.ml",
       [
-        "pin"; "unpin"; "tombstoned"; "mem"; "acquire"; "release"; "reader_lag";
+        "pin"; "unpin"; "tombstoned"; "walk"; "mem"; "acquire"; "release"; "reader_lag";
         "reader_staleness"; "mem_phased";
       ] );
     (* Phase accounting flush and the per-window GC sample: each runs

@@ -75,8 +75,22 @@ let enum cases =
     splice = None;
   }
 
+let nth i d j = Result.map_error (at_index i) (d.dec j)
+
+let pair a b =
+  {
+    enc = (fun (x, y) -> Json.List [ a.enc x; b.enc y ]);
+    dec =
+      (function
+      | Json.List [ x; y ] ->
+        let* x = nth 0 a x in
+        let* y = nth 1 b y in
+        Ok (x, y)
+      | _ -> fail "expected a 2-element array");
+    splice = None;
+  }
+
 let triple a b c =
-  let nth i d j = Result.map_error (at_index i) (d.dec j) in
   {
     enc = (fun (x, y, z) -> Json.List [ a.enc x; b.enc y; c.enc z ]);
     dec =

@@ -42,6 +42,9 @@ val nullable : 'a t -> 'a option t
 val enum : (string * 'a) list -> 'a t
 (** A string drawn from a fixed table; values are compared with [=]. *)
 
+val pair : 'a t -> 'b t -> ('a * 'b) t
+(** A 2-element array. *)
+
 val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 (** A 3-element array. *)
 

@@ -35,9 +35,9 @@ let write_response fd { status; content_type; body } =
     pos := !pos + Unix.write_substring fd out !pos (len - !pos)
   done
 
-(* Connections are served one at a time, so a client that stalls
-   mid-request holds every other scrape behind it: its whole request
-   head must arrive within this many seconds of the accept. *)
+(* A client's whole request head must arrive within this many seconds
+   of the accept, so a client that stalls holds its handler (and
+   [stop]) for no longer. *)
 let request_deadline_s = 2.0
 
 (* Read until the end of the request head (CRLFCRLF) or a size cap; the
@@ -103,7 +103,19 @@ let handle routes ~stop_r fd =
   | `Timed_out -> write_response fd (text ~status:408 "request head not received in time\n")
   | `Head head -> write_response fd (respond routes head)
 
+(* Each connection is served on its own thread, so a client that stalls
+   holds only its own handler. [active] counts the handlers in flight;
+   the loop waits for them before it closes the stop pipe they watch. *)
 let serve_loop sock stop_r routes =
+  let lock = Mutex.create () and idle = Condition.create () in
+  let active = ref 0 in
+  let serve fd =
+    (try handle routes ~stop_r fd with _ -> ());
+    (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+    Mutex.protect lock (fun () ->
+        decr active;
+        Condition.signal idle)
+  in
   let running = ref true in
   while !running do
     match Unix.select [ sock; stop_r ] [] [] (-1.0) with
@@ -113,14 +125,16 @@ let serve_loop sock stop_r routes =
       else if List.mem sock readable then begin
         match Unix.accept sock with
         | exception Unix.Unix_error (_, _, _) -> ()
-        | fd, _addr ->
-          (* One connection at a time: handlers are quick (format a
-             snapshot) and serialising them means the Window scratch
-             buffers see no extra route-level concurrency. *)
-          (try handle routes ~stop_r fd with _ -> ());
-          (try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
+        | fd, _addr -> (
+          Mutex.protect lock (fun () -> incr active);
+          (* With no thread to spare, serve it here. *)
+          try ignore (Thread.create serve fd : Thread.t) with _ -> serve fd)
       end
   done;
+  Mutex.protect lock (fun () ->
+      while !active > 0 do
+        Condition.wait idle lock
+      done);
   (try Unix.close sock with Unix.Unix_error (_, _, _) -> ());
   try Unix.close stop_r with Unix.Unix_error (_, _, _) -> ()
 

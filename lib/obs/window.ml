@@ -13,41 +13,36 @@ let publish pub shard sketch =
   Heavy.copy_into sketch pub.sketch_slot;
   Atomic.incr pub.epoch
 
+(* The metric names a window diffs. The engine registers its metrics
+   under these names; nothing else spells them. *)
+let queries_counter = "engine_queries_total"
+let probes_counter = "engine_probes_total"
+let latency_histogram = "engine_query_latency_ns"
+
+(* The builder domain's update metrics. *)
+let inserts_counter = "engine_inserts_total"
+let deletes_counter = "engine_deletes_total"
+let publications_counter = "engine_publications_total"
+let cells_counter = "engine_cells_written_total"
+let rebuild_histogram = "engine_rebuild_ns"
+let epoch_gauge = "engine_epoch"
+let retired_gauge = "engine_retired_pending"
+let reader_lag_gauge = "engine_reader_lag"
+
+(* Allocation words that each worker flushes into its own shard at
+   publish points, so the sums carry per-domain words without any
+   cross-domain [Gc.quick_stat] staleness. *)
+let minor_words_counter = "engine_gc_minor_words_total"
+let promoted_words_counter = "engine_gc_promoted_words_total"
+let major_words_counter = "engine_gc_major_words_total"
+
+let ring_capacity = 512
+
 type config = {
-  ring_capacity : int;
-  queries_counter : string;
-  probes_counter : string;
-  latency_histogram : string;
   space : int;
   max_probes : int;
   top_k : int;
   alert_factor : float;
-}
-
-(* Names of the builder-domain update metrics the windowed view diffs —
-   the update-path counterpart of the counter/histogram names in
-   [config]. Supplied by the engine when the run can mutate. *)
-type update_config = {
-  inserts_counter : string;
-  deletes_counter : string;
-  publications_counter : string;
-  cells_counter : string;
-  rebuild_histogram : string;
-  epoch_gauge : string;
-  retired_gauge : string;
-  reader_lag_gauge : string;
-}
-
-(* Names of the per-domain GC allocation counters the windowed view
-   diffs (workers flush their own [Gc.counters] deltas into their metric
-   shards at publish points, so the sums here carry per-domain words
-   without any cross-domain [Gc.quick_stat] staleness). Collection
-   *counts* have no per-domain reading — [quick_stat] aggregates across
-   domains — so those are sampled globally at each cut. *)
-type gc_config = {
-  minor_words_counter : string;
-  promoted_words_counter : string;
-  major_words_counter : string;
 }
 
 type gentry = {
@@ -103,8 +98,6 @@ type entry = {
 type t = {
   metrics : Metrics.t;
   config : config;
-  updates_cfg : update_config option;
-  gc_cfg : gc_config option;
   publishers : publisher array;
   (* Reader-side private buffers: [stable_read] copies a publisher's
      slots here under the seqlock retry loop, so merging never touches a
@@ -136,13 +129,12 @@ type t = {
   t0_ns : int64;
 }
 
-let create ?updates ?gc metrics config ~publishers:np =
+let create metrics config ~publishers:np =
   if np < 1 then invalid_arg "Window.create: need at least one publisher";
-  if config.ring_capacity < 1 then invalid_arg "Window.create: ring_capacity must be >= 1";
   (* Baseline the global collection counts at construction so the first
      window reports collections *during* the run, not since process
      start. *)
-  let s0 = if gc = None then None else Some (Gc.quick_stat ()) in
+  let s0 = Gc.quick_stat () in
   let mk_pub () =
     {
       epoch = Atomic.make 0;
@@ -153,13 +145,11 @@ let create ?updates ?gc metrics config ~publishers:np =
   {
     metrics;
     config;
-    updates_cfg = updates;
-    gc_cfg = gc;
     publishers = Array.init np (fun _ -> mk_pub ());
     scratch_metrics = Array.init np (fun _ -> Metrics.frozen metrics);
     scratch_sketches = Array.init np (fun _ -> Heavy.create ~k:config.top_k);
     lock = Mutex.create ();
-    ring = Array.make config.ring_capacity None;
+    ring = Array.make ring_capacity None;
     next_index = 0;
     prev_queries = 0;
     prev_probes = 0;
@@ -172,8 +162,8 @@ let create ?updates ?gc metrics config ~publishers:np =
     prev_gc_minor = 0;
     prev_gc_promoted = 0;
     prev_gc_major = 0;
-    prev_minor_colls = (match s0 with None -> 0 | Some s -> s.Gc.minor_collections);
-    prev_major_colls = (match s0 with None -> 0 | Some s -> s.Gc.major_collections);
+    prev_minor_colls = s0.Gc.minor_collections;
+    prev_major_colls = s0.Gc.major_collections;
     prev_t = 0.0;
     firing_run = 0;
     fired_total = 0;
@@ -257,8 +247,18 @@ let hist_delta (cur : Metrics.Snapshot.hist) (prev : Metrics.Snapshot.hist optio
     }
 
 let push t e =
-  t.ring.(t.next_index mod t.config.ring_capacity) <- Some e;
+  t.ring.(t.next_index mod ring_capacity) <- Some e;
   t.next_index <- t.next_index + 1
+
+(* Windowed p50/p99 of a cumulative histogram; 0 when the window saw
+   no observations. *)
+let windowed_quantiles cur prev =
+  match cur with
+  | None -> (0.0, 0.0)
+  | Some cur ->
+    let d = hist_delta cur prev in
+    if d.count <= 0 then (0.0, 0.0)
+    else (Metrics.Snapshot.quantile d 0.5, Metrics.Snapshot.quantile d 0.99)
 
 let tick t =
   with_lock t (fun () ->
@@ -266,24 +266,14 @@ let tick t =
       let snap = Metrics.snapshot_frozen t.metrics (Array.to_list t.scratch_metrics) in
       let cells = Heavy.merge (Array.to_list t.scratch_sketches) ~k:t.config.top_k in
       let now = now_s t in
-      let cum_queries =
-        Option.value ~default:0 (Metrics.Snapshot.counter_value snap t.config.queries_counter)
-      in
-      let cum_probes =
-        Option.value ~default:0 (Metrics.Snapshot.counter_value snap t.config.probes_counter)
-      in
+      let c name = Option.value ~default:0 (Metrics.Snapshot.counter_value snap name) in
+      let cum_queries = c queries_counter in
+      let cum_probes = c probes_counter in
       let dq = cum_queries - t.prev_queries in
       let dp = cum_probes - t.prev_probes in
       let dt = now -. t.prev_t in
-      let lat_cum = Metrics.Snapshot.find_hist snap t.config.latency_histogram in
-      let p50, p99 =
-        match lat_cum with
-        | None -> (0.0, 0.0)
-        | Some cur ->
-          let d = hist_delta cur t.prev_latency in
-          if d.count <= 0 then (0.0, 0.0)
-          else (Metrics.Snapshot.quantile d 0.5, Metrics.Snapshot.quantile d 0.99)
-      in
+      let lat_cum = Metrics.Snapshot.find_hist snap latency_histogram in
+      let p50, p99 = windowed_quantiles lat_cum t.prev_latency in
       (* The alert signal is the sketch's *guaranteed* hottest tally
          (count - err): a sound lower bound on the true hottest count, so
          a firing alert is never an artifact of sketch noise. The upper
@@ -309,110 +299,78 @@ let tick t =
         t.fired_total <- t.fired_total + 1
       end
       else t.firing_run <- 0;
-      (* The windowed update view. [None] both when the recorder has no
-         update config and when the run never exercised the update path
-         (a static workload leaves the builder counters at zero) — the
-         absence /updates.json reports for read-only serves. *)
-      let rebuild_cum, updates =
-        match t.updates_cfg with
-        | None -> (None, None)
-        | Some uc ->
-          let c name =
-            Option.value ~default:0 (Metrics.Snapshot.counter_value snap name)
+      (* The windowed update view, [None] while the run has not exercised
+         the update path (a static workload leaves the builder counters
+         at zero) — the absence /updates.json reports for read-only
+         serves. *)
+      let cum_ins = c inserts_counter in
+      let cum_del = c deletes_counter in
+      let cum_pubs = c publications_counter in
+      let cum_cells = c cells_counter in
+      let rebuild_cum = Metrics.Snapshot.find_hist snap rebuild_histogram in
+      let updates =
+        if cum_ins + cum_del + cum_pubs = 0 then None
+        else begin
+          let di = cum_ins - t.prev_inserts in
+          let dd = cum_del - t.prev_deletes in
+          let dpub = cum_pubs - t.prev_pubs in
+          let dcells = cum_cells - t.prev_cells in
+          let rebuild_p50_ns, rebuild_p99_ns = windowed_quantiles rebuild_cum t.prev_rebuild in
+          let g name =
+            Option.fold ~none:0 ~some:int_of_float (Metrics.Snapshot.gauge_value snap name)
           in
-          let cum_ins = c uc.inserts_counter in
-          let cum_del = c uc.deletes_counter in
-          let cum_pubs = c uc.publications_counter in
-          let cum_cells = c uc.cells_counter in
-          let reb_cum = Metrics.Snapshot.find_hist snap uc.rebuild_histogram in
-          if cum_ins + cum_del + cum_pubs = 0 then (reb_cum, None)
-          else begin
-            let di = cum_ins - t.prev_inserts in
-            let dd = cum_del - t.prev_deletes in
-            let dpub = cum_pubs - t.prev_pubs in
-            let dcells = cum_cells - t.prev_cells in
-            let rp50, rp99 =
-              match reb_cum with
-              | None -> (0.0, 0.0)
-              | Some cur ->
-                let d = hist_delta cur t.prev_rebuild in
-                if d.count <= 0 then (0.0, 0.0)
-                else (Metrics.Snapshot.quantile d 0.5, Metrics.Snapshot.quantile d 0.99)
-            in
-            let g name =
-              match Metrics.Snapshot.gauge_value snap name with
-              | None -> 0
-              | Some v -> int_of_float v
-            in
-            ( reb_cum,
-              Some
-                {
-                  u_inserts = di;
-                  u_deletes = dd;
-                  ups = (if dt > 0.0 then float_of_int (di + dd) /. dt else 0.0);
-                  u_pubs = dpub;
-                  pubs_per_s = (if dt > 0.0 then float_of_int dpub /. dt else 0.0);
-                  u_cells = dcells;
-                  write_amp =
-                    (if di > 0 then float_of_int dcells /. float_of_int di else 0.0);
-                  rebuild_p50_ns = rp50;
-                  rebuild_p99_ns = rp99;
-                  u_epoch = g uc.epoch_gauge;
-                  u_retired = g uc.retired_gauge;
-                  u_reader_lag = g uc.reader_lag_gauge;
-                  cum_updates = cum_ins + cum_del;
-                  cum_cells;
-                } )
-          end
+          Some
+            {
+              u_inserts = di;
+              u_deletes = dd;
+              ups = (if dt > 0.0 then float_of_int (di + dd) /. dt else 0.0);
+              u_pubs = dpub;
+              pubs_per_s = (if dt > 0.0 then float_of_int dpub /. dt else 0.0);
+              u_cells = dcells;
+              write_amp = (if di > 0 then float_of_int dcells /. float_of_int di else 0.0);
+              rebuild_p50_ns;
+              rebuild_p99_ns;
+              u_epoch = g epoch_gauge;
+              u_retired = g retired_gauge;
+              u_reader_lag = g reader_lag_gauge;
+              cum_updates = cum_ins + cum_del;
+              cum_cells;
+            }
+        end
       in
-      (match t.updates_cfg with
-      | None -> ()
-      | Some uc ->
-        let c name =
-          Option.value ~default:0 (Metrics.Snapshot.counter_value snap name)
-        in
-        t.prev_inserts <- c uc.inserts_counter;
-        t.prev_deletes <- c uc.deletes_counter;
-        t.prev_pubs <- c uc.publications_counter;
-        t.prev_cells <- c uc.cells_counter;
-        t.prev_rebuild <- rebuild_cum);
+      t.prev_inserts <- cum_ins;
+      t.prev_deletes <- cum_del;
+      t.prev_pubs <- cum_pubs;
+      t.prev_cells <- cum_cells;
+      t.prev_rebuild <- rebuild_cum;
       (* The windowed GC view: per-domain allocation words come from the
          shard counters the workers flush (precise per domain); the
          collection counts are the global [quick_stat] reading sampled
          at the cut, diffed against the previous cut. *)
+      let cum_minor = c minor_words_counter in
+      let cum_promoted = c promoted_words_counter in
+      let cum_major = c major_words_counter in
+      let st = Gc.quick_stat () in
       let gc =
-        match t.gc_cfg with
-        | None -> None
-        | Some gcfg ->
-          let c name =
-            Option.value ~default:0 (Metrics.Snapshot.counter_value snap name)
-          in
-          let cum_minor = c gcfg.minor_words_counter in
-          let cum_promoted = c gcfg.promoted_words_counter in
-          let cum_major = c gcfg.major_words_counter in
-          let st = Gc.quick_stat () in
-          let g =
-            {
-              g_minor_words = cum_minor - t.prev_gc_minor;
-              g_promoted_words = cum_promoted - t.prev_gc_promoted;
-              g_major_words = cum_major - t.prev_gc_major;
-              g_minor_collections = st.Gc.minor_collections - t.prev_minor_colls;
-              g_major_collections = st.Gc.major_collections - t.prev_major_colls;
-              alloc_per_query =
-                (if dq > 0 then float_of_int (cum_minor - t.prev_gc_minor) /. float_of_int dq
-                 else 0.0);
-              g_heap_words = st.Gc.heap_words;
-              cum_minor_words = cum_minor;
-              cum_major_collections = st.Gc.major_collections;
-            }
-          in
-          t.prev_gc_minor <- cum_minor;
-          t.prev_gc_promoted <- cum_promoted;
-          t.prev_gc_major <- cum_major;
-          t.prev_minor_colls <- st.Gc.minor_collections;
-          t.prev_major_colls <- st.Gc.major_collections;
-          Some g
+        {
+          g_minor_words = cum_minor - t.prev_gc_minor;
+          g_promoted_words = cum_promoted - t.prev_gc_promoted;
+          g_major_words = cum_major - t.prev_gc_major;
+          g_minor_collections = st.Gc.minor_collections - t.prev_minor_colls;
+          g_major_collections = st.Gc.major_collections - t.prev_major_colls;
+          alloc_per_query =
+            (if dq > 0 then float_of_int (cum_minor - t.prev_gc_minor) /. float_of_int dq
+             else 0.0);
+          g_heap_words = st.Gc.heap_words;
+          cum_minor_words = cum_minor;
+          cum_major_collections = st.Gc.major_collections;
+        }
       in
+      t.prev_gc_minor <- cum_minor;
+      t.prev_gc_promoted <- cum_promoted;
+      t.prev_gc_major <- cum_major;
+      t.prev_minor_colls <- st.Gc.minor_collections;
+      t.prev_major_colls <- st.Gc.major_collections;
       let e =
         {
           index = t.next_index;
@@ -432,7 +390,7 @@ let tick t =
           cum_queries;
           cum_probes;
           updates;
-          gc;
+          gc = Some gc;
         }
       in
       push t e;
@@ -444,17 +402,16 @@ let tick t =
 
 let entries t =
   with_lock t @@ fun () ->
-  let cap = t.config.ring_capacity in
-  let first = max 0 (t.next_index - cap) in
+  let first = max 0 (t.next_index - ring_capacity) in
   let out = ref [] in
   for i = t.next_index - 1 downto first do
-    match t.ring.(i mod cap) with Some e -> out := e :: !out | None -> ()
+    match t.ring.(i mod ring_capacity) with Some e -> out := e :: !out | None -> ()
   done;
   !out
 
 let last t =
   with_lock t @@ fun () ->
-  if t.next_index = 0 then None else t.ring.((t.next_index - 1) mod t.config.ring_capacity)
+  if t.next_index = 0 then None else t.ring.((t.next_index - 1) mod ring_capacity)
 
 let total_windows t = with_lock t @@ fun () -> t.next_index
 
@@ -497,7 +454,7 @@ let prometheus_gauges t =
     gauge "engine_window_rebuild_p99_ns" "Windowed p99 level-rebuild duration (ns)"
       u.rebuild_p99_ns
   | _ -> ());
-  (* GC gauges, present only when the window keeps a GC view. *)
+  (* GC gauges, present once a window has been cut. *)
   (match e with
   | Some { gc = Some g; _ } ->
     gauge "engine_window_alloc_per_query"

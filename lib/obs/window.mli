@@ -34,11 +34,49 @@ val publish : publisher -> Metrics.shard -> Heavy.t -> unit
 (** Publish the worker's current cumulative state. Call from the owning
     domain only; lock-free and allocation-free. *)
 
+(** {2 Metric names}
+
+    The metrics a window diffs, by name. The engine registers its
+    metrics under these names, and code that reads them back from a
+    snapshot reads them by these names; a name that is not registered
+    reads as 0.
+
+    - Read side: [engine_queries_total] into [queries]/[qps],
+      [engine_probes_total] into [probes]/[probes_per_s], and the
+      [engine_query_latency_ns] histogram into the windowed p50/p99.
+    - Update side (the builder domain): [engine_inserts_total],
+      [engine_deletes_total], [engine_publications_total] and
+      [engine_cells_written_total] into the {!uentry} deltas, the
+      [engine_rebuild_ns] histogram into the windowed rebuild p50/p99,
+      and the [engine_epoch], [engine_retired_pending] and
+      [engine_reader_lag] gauges read at the cut.
+    - GC: [engine_gc_minor_words_total], [engine_gc_promoted_words_total]
+      and [engine_gc_major_words_total], allocation words summed over
+      domains. Workers flush their own [Gc.counters] deltas into their
+      shards, because [Gc.counters] reads the calling domain's own
+      state. Collection {e counts} have no per-domain reading
+      ([Gc.quick_stat] aggregates across domains), so {!tick} samples
+      those globally at each cut. *)
+
+val queries_counter : string
+val probes_counter : string
+val latency_histogram : string
+val inserts_counter : string
+val deletes_counter : string
+val publications_counter : string
+val cells_counter : string
+val rebuild_histogram : string
+val epoch_gauge : string
+val retired_gauge : string
+val reader_lag_gauge : string
+val minor_words_counter : string
+val promoted_words_counter : string
+val major_words_counter : string
+
+val ring_capacity : int
+(** 512: the windows a recorder retains; older ones are evicted. *)
+
 type config = {
-  ring_capacity : int;  (** Windows retained; older ones are evicted. *)
-  queries_counter : string;  (** Counter diffed into [queries]/[qps]. *)
-  probes_counter : string;  (** Counter diffed into [probes]/[probes_per_s]. *)
-  latency_histogram : string;  (** Histogram diffed into windowed p50/p99. *)
   space : int;  (** The structure's cell count [s], for the flat bound. *)
   max_probes : int;  (** The structure's probe budget [t]. *)
   top_k : int;  (** Sketch capacity ({!Heavy.create}). *)
@@ -46,39 +84,6 @@ type config = {
       (** Fire when [hotspot_ratio] exceeds this multiple of the flat
           bound — the Θ(√n)-regression detector's threshold. *)
 }
-
-type update_config = {
-  inserts_counter : string;  (** Counter diffed into [u_inserts]. *)
-  deletes_counter : string;  (** Counter diffed into [u_deletes]. *)
-  publications_counter : string;  (** Counter diffed into [u_pubs]. *)
-  cells_counter : string;
-      (** Cells-written counter diffed into [u_cells] / [write_amp]. *)
-  rebuild_histogram : string;
-      (** Per-level-build duration histogram diffed into windowed
-          rebuild p50/p99. *)
-  epoch_gauge : string;  (** Published-epoch gauge read into [u_epoch]. *)
-  retired_gauge : string;  (** Retired-pending gauge ([u_retired]). *)
-  reader_lag_gauge : string;  (** Reader-lag gauge ([u_reader_lag]). *)
-}
-(** Names of the builder-domain update metrics the windowed view diffs —
-    the update-path counterpart of the counter/histogram names in
-    {!config}. The engine supplies this for runs that can mutate; like
-    those, the metrics must be registered before {!create}. *)
-
-type gc_config = {
-  minor_words_counter : string;
-      (** Counter of per-domain minor-heap allocation words (workers
-          flush their own [Gc.counters] deltas into their shards). *)
-  promoted_words_counter : string;
-  major_words_counter : string;
-}
-(** Names of the per-domain GC allocation counters the windowed view
-    diffs. Allocation {e words} come from shard counters because
-    [Gc.counters] reads the calling domain's own state (precise,
-    per-domain); collection {e counts} have no per-domain reading —
-    [Gc.quick_stat] aggregates across domains — so {!tick} samples those
-    globally at each cut. Like {!update_config}, the named metrics must
-    be registered before {!create}. *)
 
 type gentry = {
   g_minor_words : int;
@@ -152,26 +157,25 @@ type entry = {
   cum_queries : int;  (** Cumulative totals at window end. *)
   cum_probes : int;
   updates : uentry option;
-      (** The update-path view — [None] when the recorder has no
-          {!update_config} {e or} the run never exercised the update
-          path (static workloads leave the builder counters at zero). *)
+      (** The update-path view — [None] while the run has not exercised
+          the update path (static workloads leave the builder counters
+          at zero). *)
   gc : gentry option;
-      (** The GC view — [None] when the recorder has no {!gc_config};
-          present on every window otherwise (a window with zero
-          allocation is itself a finding). *)
+      (** The GC view. {!tick} cuts one on every window (a window with
+          zero allocation is itself a finding); [None] only in a decoded
+          window stored without one. *)
 }
 
 type t
 (** The recorder: publishers, ring, delta state, alert state. *)
 
-val create :
-  ?updates:update_config -> ?gc:gc_config -> Metrics.t -> config -> publishers:int -> t
+val create : Metrics.t -> config -> publishers:int -> t
 (** [create metrics config ~publishers] sizes one publisher per
-    recording domain. Create it {e after} registering the metrics named
-    in [config] — and in [?updates] / [?gc], when given — (buffers are
-    sized to the registry's current definitions). With [?gc], the global
-    collection counts are baselined here so the first window reports
-    collections during the run, not since process start. *)
+    recording domain. Create it {e after} registering the metrics under
+    the names above (buffers are sized to the registry's current
+    definitions). The global collection counts are baselined here, so
+    the first window reports collections during the run, not since
+    process start. *)
 
 val publisher : t -> int -> publisher
 val config : t -> config
@@ -191,7 +195,7 @@ val live_cells : t -> Heavy.merged
 (** Merged hot-cell sketch of the published views. *)
 
 val entries : t -> entry list
-(** Ring contents, oldest first (at most [ring_capacity]). *)
+(** Ring contents, oldest first (at most {!ring_capacity}). *)
 
 val last : t -> entry option
 val total_windows : t -> int
@@ -214,7 +218,7 @@ val prometheus_gauges : t -> string
     [engine_window_pubs_per_s], [engine_window_write_amp] and
     [engine_window_rebuild_p99_ns] (the epoch, retired-pending and
     reader-lag gauges the view reads are registry gauges, so the
-    snapshot already exports them). When it carries a GC view, also
+    snapshot already exports them). Once a window is cut, also
     [engine_window_alloc_per_query], [engine_window_minor_words],
     [engine_window_promoted_words], [engine_window_minor_collections],
     [engine_window_major_collections] and [engine_gc_heap_words]. *)

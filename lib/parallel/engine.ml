@@ -87,11 +87,11 @@ type metric_ids = {
 let register_metrics (o : Lc_obs.Obs.t) =
   {
     m_queries =
-      Metrics.counter o.metrics ~help:"Queries served by the engine" "engine_queries_total";
+      Metrics.counter o.metrics ~help:"Queries served by the engine" Window.queries_counter;
     m_probes =
-      Metrics.counter o.metrics ~help:"Cell probes issued by the engine" "engine_probes_total";
+      Metrics.counter o.metrics ~help:"Cell probes issued by the engine" Window.probes_counter;
     m_latency =
-      Metrics.histogram o.metrics ~help:"Per-query serve latency (ns)" "engine_query_latency_ns";
+      Metrics.histogram o.metrics ~help:"Per-query serve latency (ns)" Window.latency_histogram;
     m_probe_latency =
       Metrics.histogram o.metrics
         ~help:
@@ -312,27 +312,17 @@ type gc_metric_ids = {
   g_major_c : Metrics.counter;
 }
 
-(* The metric names the windowed GC view diffs — shared with the Window
-   config like [update_metric_names]. *)
-let gc_metric_names : Window.gc_config =
-  {
-    Window.minor_words_counter = "engine_gc_minor_words_total";
-    promoted_words_counter = "engine_gc_promoted_words_total";
-    major_words_counter = "engine_gc_major_words_total";
-  }
-
 let register_gc_metrics (o : Lc_obs.Obs.t) =
-  let n = gc_metric_names in
   {
     g_minor_c =
       Metrics.counter o.metrics ~help:"Minor-heap words allocated by engine domains"
-        n.Window.minor_words_counter;
+        Window.minor_words_counter;
     g_promoted_c =
       Metrics.counter o.metrics ~help:"Words promoted to the major heap by engine domains"
-        n.Window.promoted_words_counter;
+        Window.promoted_words_counter;
     g_major_c =
       Metrics.counter o.metrics ~help:"Words allocated directly on the major heap"
-        n.Window.major_words_counter;
+        Window.major_words_counter;
   }
 
 (* Set the cursor without flushing: the baseline at batch start, so the
@@ -369,53 +359,38 @@ type update_metric_ids = {
   u_lag_g : Metrics.gauge;
 }
 
-(* The metric names the windowed update view diffs — one shared value so
-   the registration below, the Window config and the /updates.json body
-   can never drift apart. *)
-let update_metric_names : Window.update_config =
-  {
-    Window.inserts_counter = "engine_inserts_total";
-    deletes_counter = "engine_deletes_total";
-    publications_counter = "engine_publications_total";
-    cells_counter = "engine_cells_written_total";
-    rebuild_histogram = "engine_rebuild_ns";
-    epoch_gauge = "engine_epoch";
-    retired_gauge = "engine_retired_pending";
-    reader_lag_gauge = "engine_reader_lag";
-  }
+(* Read back by /updates.json; the window does not diff it. *)
+let reclaimed_counter = "engine_reclaimed_total"
 
 let register_update_metrics (o : Lc_obs.Obs.t) =
-  let n = update_metric_names in
   {
     u_inserts_c =
       Metrics.counter o.metrics ~help:"Inserts applied by the builder domain"
-        n.Window.inserts_counter;
+        Window.inserts_counter;
     u_deletes_c =
       Metrics.counter o.metrics ~help:"Deletes applied by the builder domain"
-        n.Window.deletes_counter;
+        Window.deletes_counter;
     u_pubs_c =
-      Metrics.counter o.metrics ~help:"Epoch snapshots published" n.Window.publications_counter;
+      Metrics.counter o.metrics ~help:"Epoch snapshots published" Window.publications_counter;
     u_reclaimed_c =
-      Metrics.counter o.metrics ~help:"Retired levels reclaimed" "engine_reclaimed_total";
+      Metrics.counter o.metrics ~help:"Retired levels reclaimed" reclaimed_counter;
     u_cells_c =
       Metrics.counter o.metrics ~help:"Cells written by level rebuilds (exact)"
-        n.Window.cells_counter;
+        Window.cells_counter;
     u_rebuild_h =
-      Metrics.histogram o.metrics ~help:"Per-level-build duration (ns)"
-        n.Window.rebuild_histogram;
+      Metrics.histogram o.metrics ~help:"Per-level-build duration (ns)" Window.rebuild_histogram;
     u_publish_h =
       Metrics.histogram o.metrics ~help:"Per-publication latency (ns)" "engine_publish_ns";
     u_batch_h =
       Metrics.histogram o.metrics ~help:"Updates made visible per publication"
         "engine_publish_batch";
-    u_epoch_g = Metrics.gauge o.metrics ~help:"Currently published epoch" n.Window.epoch_gauge;
+    u_epoch_g = Metrics.gauge o.metrics ~help:"Currently published epoch" Window.epoch_gauge;
     u_retired_g =
-      Metrics.gauge o.metrics ~help:"Retired levels awaiting reclamation"
-        n.Window.retired_gauge;
+      Metrics.gauge o.metrics ~help:"Retired levels awaiting reclamation" Window.retired_gauge;
     u_lag_g =
       Metrics.gauge o.metrics
         ~help:"Published epoch minus the slowest pinned reader's epoch"
-        n.Window.reader_lag_gauge;
+        Window.reader_lag_gauge;
   }
 
 (* Shared by [count_histogram] (exact, post-run) and the live
@@ -470,9 +445,6 @@ module Monitor = struct
     mutable controller : Lc_control.Controller.t option;
   }
 
-  (* Windows a monitor retains, oldest evicted. *)
-  let ring = 512
-
   let create_for ?(interval_s = 0.25) ?(publish_period = 256) ?(top_k = 16)
       ?(alert_factor = 8.0) ?on_window ?journal ?on_alert ~domains ~space ~max_probes () =
     if domains < 1 then invalid_arg "Monitor.create: domains must be >= 1";
@@ -500,25 +472,14 @@ module Monitor = struct
     let _uids = register_update_metrics obs in
     let _pids = register_phase_metrics obs in
     let _gids = register_gc_metrics obs in
-    let config =
-      {
-        Window.ring_capacity = ring;
-        queries_counter = "engine_queries_total";
-        probes_counter = "engine_probes_total";
-        latency_histogram = "engine_query_latency_ns";
-        space;
-        max_probes;
-        top_k;
-        alert_factor;
-      }
-    in
     {
       obs;
       (* Publisher layout: 0 = orchestrator, 1..domains = workers,
          domains + 1 = the builder domain of a dynamic run (left zeroed
          by static serves). *)
       window =
-        Window.create ~updates:update_metric_names ~gc:gc_metric_names obs.metrics config
+        Window.create obs.metrics
+          { Window.space; max_probes; top_k; alert_factor }
           ~publishers:(domains + 2);
       sketches = Array.init domains (fun _ -> Heavy.create ~k:top_k);
       orch_sketch = Heavy.create ~k:top_k;
@@ -692,68 +653,103 @@ module Monitor = struct
       done;
       Some sum
 
+  (* /cells.json: the merged hot-cell sketch and the exact per-cell
+     count histogram, schema-versioned ("lowcon-cells" v1). [coheat] is
+     null and [count_histogram] empty together, for a run that keeps no
+     live per-cell counters. *)
+  type cells = {
+    sketch : Heavy.merged;
+    coheat : Coheat.t option;
+    count_histogram : (int * int) list;  (* (bucket upper bound, cells) *)
+  }
+
+  let check_cells c =
+    match
+      List.find_opt (fun (e : Heavy.entry) -> e.err < 0 || e.err > e.count) c.sketch.Heavy.top
+    with
+    | Some e -> Error (Printf.sprintf "cell %d: err %d outside [0, count %d]" e.item e.err e.count)
+    | None -> (
+      match (c.coheat, c.count_histogram) with
+      | None, _ :: _ -> Error "\"count_histogram\" must be empty when coheat is null"
+      | Some _, [] -> Error "\"count_histogram\" must not be empty when coheat is an object"
+      | _ -> Ok ())
+
+  let cells_document =
+    Codec.(
+      document ~name:"lowcon-cells" ~version:1
+        ~summary:(fun c ->
+          Printf.sprintf "%d probe(s) sketched, %d top cell(s), %s"
+            c.sketch.Heavy.total_observed (List.length c.sketch.Heavy.top)
+            (if c.coheat = None then "no exact counts" else "exact counts"))
+        (obj (fun total_observed error_bound coheat top count_histogram ->
+             { sketch = { Heavy.top; total_observed; error_bound }; coheat; count_histogram })
+        |> field "total_observed" (fun c -> c.sketch.Heavy.total_observed) int
+        |> field "error_bound" (fun c -> c.sketch.Heavy.error_bound) int
+        |> field "coheat" (fun c -> c.coheat) coheat_codec
+        |> field "top" (fun c -> c.sketch.Heavy.top)
+             (list
+                (obj (fun item count err -> { Heavy.item; count; err })
+                |> field "cell" (fun (e : Heavy.entry) -> e.item) int
+                |> field "count" (fun (e : Heavy.entry) -> e.count) int
+                |> field "err" (fun (e : Heavy.entry) -> e.err) int
+                |> seal))
+        |> field "count_histogram" (fun c -> c.count_histogram) (list (pair int int))
+        |> seal
+        |> check check_cells))
+
   let cells_body t =
-    let cells = Window.live_cells t.window in
-    let exact_counts = live_count_values t in
-    let exact_hist =
-      match exact_counts with
-      | None -> []
-      | Some counts -> histogram_of_counts counts
+    let counts = live_count_values t in
+    Codec.to_string cells_document
+      {
+        sketch = Window.live_cells t.window;
+        coheat = Option.map Coheat.of_counts counts;
+        count_histogram = Option.fold ~none:[] ~some:histogram_of_counts counts;
+      }
+
+  (* /windows.json: the window ring in the postmortem's window shape,
+     plus the alert state, schema-versioned ("lowcon-windows" v1). *)
+  type windows = { ring : Window.entry list; alert_active : bool; alert_fired_total : int }
+
+  (* The ring holds consecutive windows, and every firing window it
+     holds was counted when it fired. *)
+  let check_windows w =
+    let rec consecutive = function
+      | (a : Window.entry) :: (b :: _ as rest) ->
+        if b.Window.index <> a.Window.index + 1 then
+          Error
+            (Printf.sprintf "window %d follows window %d: indexes not consecutive"
+               b.Window.index a.Window.index)
+        else consecutive rest
+      | _ -> Ok ()
     in
-    Lc_obs.Json.to_string
-      (Lc_obs.Json.Obj
-         [
-           ("total_observed", Lc_obs.Json.Int cells.Heavy.total_observed);
-           ("error_bound", Lc_obs.Json.Int cells.Heavy.error_bound);
-           ("coheat", Codec.encode coheat_codec (Option.map Coheat.of_counts exact_counts));
-           ( "top",
-             Lc_obs.Json.List
-               (List.map
-                  (fun (e : Heavy.entry) ->
-                    Lc_obs.Json.Obj
-                      [
-                        ("cell", Lc_obs.Json.Int e.item);
-                        ("count", Lc_obs.Json.Int e.count);
-                        ("err", Lc_obs.Json.Int e.err);
-                      ])
-                  cells.Heavy.top) );
-           ( "count_histogram",
-             Lc_obs.Json.List
-               (List.map
-                  (fun (upper, n) ->
-                    Lc_obs.Json.List [ Lc_obs.Json.Int upper; Lc_obs.Json.Int n ])
-                  exact_hist) );
-         ])
+    let firing = List.length (List.filter (fun (e : Window.entry) -> e.Window.alert) w.ring) in
+    if firing > w.alert_fired_total then
+      Error
+        (Printf.sprintf "alert_fired_total is %d but %d listed window(s) fired"
+           w.alert_fired_total firing)
+    else consecutive w.ring
+
+  let windows_document =
+    Codec.(
+      document ~name:"lowcon-windows" ~version:1
+        ~summary:(fun w ->
+          Printf.sprintf "%d window(s), %d fired, alert %s" (List.length w.ring)
+            w.alert_fired_total
+            (if w.alert_active then "active" else "quiet"))
+        (obj (fun ring alert_active alert_fired_total -> { ring; alert_active; alert_fired_total })
+        |> field "windows" (fun w -> w.ring) (list Window.codec)
+        |> field "alert_active" (fun w -> w.alert_active) bool
+        |> field "alert_fired_total" (fun w -> w.alert_fired_total) int
+        |> seal
+        |> check check_windows))
 
   let windows_body t =
-    Lc_obs.Json.to_string
-      (Lc_obs.Json.Obj
-         [
-           ( "windows",
-             Lc_obs.Json.List
-               (List.map
-                  (fun (e : Window.entry) ->
-                    Lc_obs.Json.Obj
-                      [
-                        ("index", Lc_obs.Json.Int e.index);
-                        ("t_start_s", Lc_obs.Json.Float e.t_start_s);
-                        ("t_end_s", Lc_obs.Json.Float e.t_end_s);
-                        ("queries", Lc_obs.Json.Int e.queries);
-                        ("probes", Lc_obs.Json.Int e.probes);
-                        ("qps", Lc_obs.Json.Float e.qps);
-                        ("probes_per_s", Lc_obs.Json.Float e.probes_per_s);
-                        ("p50_ns", Lc_obs.Json.Float e.p50_ns);
-                        ("p99_ns", Lc_obs.Json.Float e.p99_ns);
-                        ("max_cell", Lc_obs.Json.Int e.max_cell);
-                        ("max_share", Lc_obs.Json.Float e.max_share);
-                        ("hotspot_ratio", Lc_obs.Json.Float e.hotspot_ratio);
-                        ("alert", Lc_obs.Json.Bool e.alert);
-                        ("cum_queries", Lc_obs.Json.Int e.cum_queries);
-                      ])
-                  (Window.entries t.window)) );
-           ("alert_active", Lc_obs.Json.Bool (Window.alert_active t.window));
-           ("alert_fired_total", Lc_obs.Json.Int (Window.alert_fired_total t.window));
-         ])
+    Codec.to_string windows_document
+      {
+        ring = Window.entries t.window;
+        alert_active = Window.alert_active t.window;
+        alert_fired_total = Window.alert_fired_total t.window;
+      }
 
   (* /updates.json: the update-path counterpart of /windows.json,
      schema-versioned ("lowcon-updates" v1) so `lowcon validate` can
@@ -822,26 +818,25 @@ module Monitor = struct
 
   let updates_body t =
     let snap = Window.live_snapshot t.window in
-    let n = update_metric_names in
     let c name = Option.value ~default:0 (Metrics.Snapshot.counter_value snap name) in
     let g name = Option.fold ~none:0 ~some:int_of_float (Metrics.Snapshot.gauge_value snap name) in
-    let inserts = c n.Window.inserts_counter in
-    let deletes = c n.Window.deletes_counter in
-    let publications = c n.Window.publications_counter in
-    let cells_written = c n.Window.cells_counter in
+    let inserts = c Window.inserts_counter in
+    let deletes = c Window.deletes_counter in
+    let publications = c Window.publications_counter in
+    let cells_written = c Window.cells_counter in
     let seen = inserts + deletes + publications > 0 in
     let totals =
       {
         inserts;
         deletes;
         publications;
-        reclaimed = c "engine_reclaimed_total";
+        reclaimed = c reclaimed_counter;
         cells_written;
         write_amp =
           (if inserts > 0 then float_of_int cells_written /. float_of_int inserts else 0.0);
-        epoch = g n.Window.epoch_gauge;
-        retired_pending = g n.Window.retired_gauge;
-        reader_lag = g n.Window.reader_lag_gauge;
+        epoch = g Window.epoch_gauge;
+        retired_pending = g Window.retired_gauge;
+        reader_lag = g Window.reader_lag_gauge;
       }
     in
     let window (e : Window.entry) =
@@ -904,15 +899,14 @@ module Monitor = struct
   let scaling_body t =
     let snap = Window.live_snapshot t.window in
     let c name = Option.value ~default:0 (Metrics.Snapshot.counter_value snap name) in
-    let gn = gc_metric_names in
     Codec.to_string scaling_document
       {
         sc_domains = t.domains;
         phases = Array.map (fun (_, name, _, _) -> c (phase_counter_name name)) phase_table;
         gc =
-          ( c gn.Window.minor_words_counter,
-            c gn.Window.promoted_words_counter,
-            c gn.Window.major_words_counter,
+          ( c Window.minor_words_counter,
+            c Window.promoted_words_counter,
+            c Window.major_words_counter,
             List.filter_map
               (fun (e : Window.entry) ->
                 Option.map

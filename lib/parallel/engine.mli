@@ -131,15 +131,6 @@ val phases_codec : phase_totals Lc_obs.Codec.t
 (** An object with one ["<name>_ns"] integer member per phase, in
     {!phases} order; decoding also applies {!check_phases}. *)
 
-val gc_metric_names : Lc_obs.Window.gc_config
-(** Names of the per-domain GC allocation counters instrumented runs
-    register ([engine_gc_minor_words_total],
-    [engine_gc_promoted_words_total], [engine_gc_major_words_total]) —
-    each worker flushes its own [Gc.counters] deltas into its shard at
-    batch end and before every window publish, so the windowed GC view
-    and the scaling artifact read per-domain allocation without any
-    cross-domain [Gc] call on the hot path. *)
-
 (** Live monitoring for a serving run: a monitor domain that cuts
     {!Lc_obs.Window} snapshots on an interval while the workers are hot,
     per-worker {!Lc_obs.Heavy} hot-cell sketches published through the
@@ -161,8 +152,9 @@ module Monitor : sig
     t
   (** A monitor for one monitored {!run} over [inst] with [domains]
       workers. Registers the engine metrics on a fresh telemetry handle
-      (read it back with {!obs}), sizes one window publisher per domain
-      plus the orchestrator, and retains the last 512 windows, oldest
+      (read it back with {!obs}) under {!Lc_obs.Window}'s metric names,
+      sizes one window publisher per domain plus the orchestrator, and
+      retains the last {!Lc_obs.Window.ring_capacity} windows, oldest
       evicted.
 
       - [interval_s] (default 0.25): monitor tick period — one window
@@ -259,6 +251,25 @@ module Monitor : sig
       [interval_s] and once after the join; exposed for tests and
       custom drivers. *)
 
+  type cells
+  (** A decoded [/cells.json] document. *)
+
+  val cells_document : cells Lc_obs.Codec.document
+  (** [/cells.json] (["lowcon-cells"] v1). Decoding checks that every
+      sketch entry's [err] lies in [0, count], that the co-heat ratio is
+      at least 0 and below 1, and that [count_histogram] is empty
+      exactly when [coheat] is null. *)
+
+  type windows
+  (** A decoded [/windows.json] document. *)
+
+  val windows_document : windows Lc_obs.Codec.document
+  (** [/windows.json] (["lowcon-windows"] v1): the window ring as a
+      list in {!Lc_obs.Window.codec}'s shape (the one a postmortem dump
+      stores), then [alert_active] and [alert_fired_total]. Decoding
+      checks that window indexes are consecutive and that no more
+      listed windows fired than [alert_fired_total] counts. *)
+
   val updates_schema_name : string
   (** ["lowcon-updates"] — the [/updates.json] document's schema, so
       [lowcon validate] recognises a saved scrape by content. *)
@@ -318,12 +329,13 @@ module Monitor : sig
         ({!Lc_obs.Window.prometheus_gauges});
       - [/snapshot.json] — the merged snapshot as JSON
         ({!Lc_obs.Export.json_snapshot});
-      - [/cells.json] — merged top-k sketch entries with error bounds,
-        plus a log-bucketed per-cell count histogram summed from the
-        workers' live tallies when scraped (racy reads that may lag
-        stores in flight; exactly the result's counts once the workers
-        have joined);
-      - [/windows.json] — the window ring and alert state;
+      - [/cells.json] — {!cells_document}: merged top-k sketch entries
+        with error bounds, plus a log-bucketed per-cell count histogram
+        summed from the workers' live tallies when scraped (racy reads
+        that may lag stores in flight; exactly the result's counts once
+        the workers have joined);
+      - [/windows.json] — {!windows_document}: the window ring and
+        alert state;
       - [/updates.json] — the update-path view, schema-versioned
         (["lowcon-updates"] v1): cumulative builder counters (null when
         the run never exercised the update path) and the per-window

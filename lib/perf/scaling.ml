@@ -113,17 +113,16 @@ let run_trial ~inst ~qd ~queries_per_domain ~domains ~seed =
       | Error e -> failwith (Printf.sprintf "Scaling.run: worker %d %s" w e))
     phases;
   let snap = Lc_obs.Obs.snapshot obs in
-  let q = counter snap "engine_queries_total" in
+  let q = counter snap Window.queries_counter in
   if q <> r.Engine.queries then
     failwith
-      (Printf.sprintf "Scaling.run: engine_queries_total %d <> result queries %d — telemetry \
-                       does not reconcile" q r.Engine.queries);
-  let gcn = Engine.gc_metric_names in
+      (Printf.sprintf "Scaling.run: %s %d <> result queries %d — telemetry does not reconcile"
+         Window.queries_counter q r.Engine.queries);
   ( r,
     Engine.sum_phases (Array.to_list phases),
-    ( counter snap gcn.Window.minor_words_counter,
-      counter snap gcn.Window.promoted_words_counter,
-      counter snap gcn.Window.major_words_counter ) )
+    ( counter snap Window.minor_words_counter,
+      counter snap Window.promoted_words_counter,
+      counter snap Window.major_words_counter ) )
 
 let summary_of ~points ~(fit : Usl.fit option) =
   let s_peak_qps, s_peak_domains =

@@ -12,23 +12,12 @@ let structure_names = [ "lc"; "fks-norepl"; "fks"; "dm"; "cuckoo"; "binary" ]
 let dynamic_name = "lc-dyn"
 
 let structure ?obs rng ~universe ~keys = function
-  | "lc" -> Lc_dict.Instance.uninstrumented
-              (Lc_core.Dictionary.instance (Lc_core.Dictionary.build ?obs rng ~universe ~keys))
-  | "fks-norepl" ->
-    Lc_dict.Instance.uninstrumented
-      (Lc_dict.Fks.instance (Lc_dict.Fks.build ~replicate:false rng ~universe ~keys))
-  | "fks" ->
-    Lc_dict.Instance.uninstrumented
-      (Lc_dict.Fks.instance (Lc_dict.Fks.build rng ~universe ~keys))
-  | "dm" ->
-    Lc_dict.Instance.uninstrumented
-      (Lc_dict.Dm_dict.instance (Lc_dict.Dm_dict.build rng ~universe ~keys))
-  | "cuckoo" ->
-    Lc_dict.Instance.uninstrumented
-      (Lc_dict.Cuckoo.instance (Lc_dict.Cuckoo.build rng ~universe ~keys))
-  | "binary" ->
-    Lc_dict.Instance.uninstrumented
-      (Lc_dict.Sorted_array.instance (Lc_dict.Sorted_array.build ~universe ~keys))
+  | "lc" -> Lc_core.Dictionary.instance (Lc_core.Dictionary.build ?obs rng ~universe ~keys)
+  | "fks-norepl" -> Lc_dict.Fks.instance (Lc_dict.Fks.build ~replicate:false rng ~universe ~keys)
+  | "fks" -> Lc_dict.Fks.instance (Lc_dict.Fks.build rng ~universe ~keys)
+  | "dm" -> Lc_dict.Dm_dict.instance (Lc_dict.Dm_dict.build rng ~universe ~keys)
+  | "cuckoo" -> Lc_dict.Cuckoo.instance (Lc_dict.Cuckoo.build rng ~universe ~keys)
+  | "binary" -> Lc_dict.Sorted_array.instance (Lc_dict.Sorted_array.build ~universe ~keys)
   | s -> failwith (Printf.sprintf "unknown structure %S (want one of %s)" s
                      (String.concat ", " structure_names))
 

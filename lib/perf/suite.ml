@@ -25,6 +25,7 @@ module Engine = Lc_parallel.Engine
 module Epoch = Lc_dynamic.Epoch
 module Opstream = Lc_workload.Opstream
 module Metrics = Lc_obs.Metrics
+module Window = Lc_obs.Window
 module Stats = Lc_analysis.Stats
 
 type spec = {
@@ -95,15 +96,15 @@ let reconcile ~(r : Engine.result) snap =
     | Some v -> v
     | None -> failwith (Printf.sprintf "Suite.run: counter %s missing from snapshot" name)
   in
-  let q = counter "engine_queries_total" and p = counter "engine_probes_total" in
+  let q = counter Window.queries_counter and p = counter Window.probes_counter in
   if q <> r.queries then
     failwith
-      (Printf.sprintf "Suite.run: engine_queries_total %d <> result queries %d — telemetry \
-                       does not reconcile" q r.queries);
+      (Printf.sprintf "Suite.run: %s %d <> result queries %d — telemetry does not reconcile"
+         Window.queries_counter q r.queries);
   if p <> r.total_probes then
     failwith
-      (Printf.sprintf "Suite.run: engine_probes_total %d <> result probes %d — telemetry \
-                       does not reconcile" p r.total_probes)
+      (Printf.sprintf "Suite.run: %s %d <> result probes %d — telemetry does not reconcile"
+         Window.probes_counter p r.total_probes)
 
 type trial_out = {
   ns_per_query : float;
@@ -120,16 +121,13 @@ type trial_out = {
 }
 
 let minor_words_per_query ~(r : Engine.result) snap =
-  match
-    Metrics.Snapshot.counter_value snap
-      Engine.gc_metric_names.Lc_obs.Window.minor_words_counter
-  with
+  match Metrics.Snapshot.counter_value snap Window.minor_words_counter with
   | Some w -> float_of_int w /. float_of_int r.Engine.queries
   | None -> 0.0
 
 let out_of_windowed ~(r : Engine.result) ~cells ~major_colls snap =
   let p50, p99 =
-    match Metrics.Snapshot.find_hist snap "engine_query_latency_ns" with
+    match Metrics.Snapshot.find_hist snap Window.latency_histogram with
     | Some h -> (Metrics.Snapshot.quantile h 0.5, Metrics.Snapshot.quantile h 0.99)
     | None -> (0.0, 0.0)
   in

@@ -113,6 +113,8 @@ let documents =
     doc Lc_perf.Postmortem.document;
     doc Lc_perf.Diff.document;
     doc Lc_lint.Report.document;
+    doc Engine.Monitor.cells_document;
+    doc Engine.Monitor.windows_document;
     doc Engine.Monitor.updates_document;
     doc Engine.Monitor.scaling_document;
     doc Engine.Monitor.control_document;
@@ -213,6 +215,10 @@ let scrapes () =
   and d = Lazy.force dynamic_monitor
   and c = Lazy.force controlled_monitor in
   [
+    ("static /cells.json", body s "/cells.json");
+    ("dynamic /cells.json", body d "/cells.json");
+    ("static /windows.json", body s "/windows.json");
+    ("dynamic /windows.json", body d "/windows.json");
     ("static /updates.json", body s "/updates.json");
     ("dynamic /updates.json", body d "/updates.json");
     ("static /scaling.json", body s "/scaling.json");
@@ -259,6 +265,35 @@ let rejects d what needle j =
   match Codec.of_json d j with
   | Ok _ -> Alcotest.failf "%s was accepted" what
   | Error e -> checkb (Printf.sprintf "%s rejected (%s)" what e) true (contains needle e)
+
+let test_cells_violations () =
+  let d = Engine.Monitor.cells_document in
+  let static = parse (body (Lazy.force static_monitor) "/cells.json") in
+  let dynamic = parse (body (Lazy.force dynamic_monitor) "/cells.json") in
+  rejects d "a sketch entry whose err exceeds its count" "outside [0, count"
+    (set [ "top"; "0"; "err" ] (Json.Int 1_000_000_000) static);
+  rejects d "a count histogram without exact counts" "must be empty"
+    (set [ "count_histogram" ] (Json.List [ Json.List [ Json.Int 0; Json.Int 5 ] ]) dynamic);
+  rejects d "exact counts without a count histogram" "must not be empty"
+    (set [ "count_histogram" ] (Json.List []) static);
+  rejects d "a histogram bucket that is not a pair" "count_histogram[0]"
+    (set [ "count_histogram"; "0" ] (Json.List [ Json.Int 1 ]) static);
+  rejects d "a co-heat ratio of 1" "ratio out of [0, 1)"
+    (set [ "coheat"; "ratio" ] (Json.Float 1.0) static);
+  rejects d "an unknown version" "version 2" (set [ "version" ] (Json.Int 2) static)
+
+let test_windows_violations () =
+  let d = Engine.Monitor.windows_document in
+  let doc = parse (body (Lazy.force static_monitor) "/windows.json") in
+  rejects d "a repeated window" "not consecutive"
+    (edit [ "windows" ] (function Json.List (w :: _) -> Json.List [ w; w ] | j -> j) doc);
+  rejects d "a firing window alert_fired_total does not count" "alert_fired_total is 0"
+    (set [ "alert_fired_total" ] (Json.Int 0) (set [ "windows"; "0"; "alert" ] (Json.Bool true) doc));
+  rejects d "a window without its top cells" "top_cells"
+    (rename [ "windows"; "0" ] ~from:"top_cells" ~into:"cells" doc);
+  rejects d "a GC view of the wrong type" "windows[0].gc"
+    (set [ "windows"; "0"; "gc" ] (Json.Int 1) doc);
+  rejects d "an unknown version" "version 2" (set [ "version" ] (Json.Int 2) doc)
 
 let test_updates_violations () =
   let d = Engine.Monitor.updates_document in
@@ -519,6 +554,8 @@ let () =
           Alcotest.test_case "committed documents keep their bytes" `Quick
             test_committed_documents;
           Alcotest.test_case "live documents keep their bytes" `Quick test_live_documents;
+          Alcotest.test_case "cells invariants" `Quick test_cells_violations;
+          Alcotest.test_case "windows invariants" `Quick test_windows_violations;
           Alcotest.test_case "updates invariants" `Quick test_updates_violations;
           Alcotest.test_case "scaling-live invariants" `Quick test_scaling_live_violations;
           Alcotest.test_case "control invariants" `Quick test_control_violations;
