@@ -19,7 +19,9 @@ let data_row (p : Params.t) = (2 * p.d) + p.rho + 3
 let cell (p : Params.t) ~row j =
   if row < 0 || row >= Params.rows p then invalid_arg "Layout.cell: row out of range";
   if j < 0 || j >= p.s then invalid_arg "Layout.cell: column out of range";
-  (row * p.s) + j
+  (j * Params.rows p) + row
+
+let column_stride = Params.rows
 
 let z_replicas (p : Params.t) res =
   if res < 0 || res >= p.r then invalid_arg "Layout.z_replicas: residue out of range";

@@ -1,8 +1,10 @@
-(** Row layout of the low-contention table (Section 2.2).
+(** Layout of the low-contention table (Section 2.2).
 
-    The table is organised as [rows] rows of [s] cells; cell [(row, j)]
-    lives at flat index [row * s + j]. Reading the construction from the
-    paper:
+    The table is organised as [rows] rows of [s] cells, stored column by
+    column: cell [(row, j)] lives at flat index [j * rows + row], so the
+    [rows] words of column [j] are adjacent and one query round that
+    reads several rows of one column touches one or two cache lines.
+    Reading the construction from the paper:
 
     - rows [0 .. d-1]: coefficient [i] of [f], replicated across all [s]
       cells of its row;
@@ -33,7 +35,11 @@ val phash_row : Params.t -> int
 val data_row : Params.t -> int
 
 val cell : Params.t -> row:int -> int -> int
-(** [cell p ~row j] is the flat index of [(row, j)]. *)
+(** [cell p ~row j] is the flat index of [(row, j)], [j * rows + row]. *)
+
+val column_stride : Params.t -> int
+(** [column_stride p] is the flat distance between [(row, j)] and
+    [(row, j + 1)], {!Params.rows}[ p]. *)
 
 val z_replicas : Params.t -> int -> int
 (** [z_replicas p res] is how many cells of the [z] row hold [z(res)]:

@@ -187,28 +187,10 @@ let build ?(max_trials = 10_000) ?obs rng (p : Params.t) ~keys =
       match bo with
       | Some bo -> Lc_obs.Metrics.incr bo.shard bo.perfect_c !perfect_trials_total
       | None -> ());
-  (* Write all rows. *)
+  (* Write the table one whole column at a time, so that the writes
+     follow the column-major layout. *)
   span "write-rows" @@ fun () ->
   let table = Table.create ~init:(-1) ~cells:(Params.total_cells p) ~bits:p.cell_bits () in
-  let set ~row j v = Table.write table (Layout.cell p ~row j) v in
-  let fill_row row value =
-    for j = 0 to p.s - 1 do
-      set ~row j value
-    done
-  in
-  let f_coeffs = Poly_hash.coeffs (Dm_family.f top) in
-  let g_coeffs = Poly_hash.coeffs (Dm_family.g top) in
-  for i = 0 to p.d - 1 do
-    fill_row (Layout.f_row p i) f_coeffs.(i);
-    fill_row (Layout.g_row p i) g_coeffs.(i)
-  done;
-  let z = Dm_family.z top in
-  for j = 0 to p.s - 1 do
-    set ~row:(Layout.z_row p) j z.(j mod p.r)
-  done;
-  for j = 0 to p.s - 1 do
-    set ~row:(Layout.gbas_row p) j gbas.(j mod p.m)
-  done;
   (* Histograms: encode each group's loads once, then replicate. *)
   let group_words =
     Array.init p.m (fun i ->
@@ -217,24 +199,41 @@ let build ?(max_trials = 10_000) ?obs rng (p : Params.t) ~keys =
         in
         Histogram.encode p ~loads:gl)
   in
-  for w = 0 to p.rho - 1 do
-    for j = 0 to p.s - 1 do
-      set ~row:(Layout.hist_row p w) j group_words.(j mod p.m).(w)
-    done
-  done;
-  (* Perfect-hash and data rows. *)
+  (* The perfect-hash word and the key of every column; -1 in columns
+     no bucket's slot block uses. *)
+  let phash = Array.make p.s (-1) and data = Array.make p.s (-1) in
   Array.iteri
     (fun bk bucket ->
       let l = loads.(bk) in
       if l > 0 then begin
         let sz = l * l in
-        for j = starts.(bk) to starts.(bk) + sz - 1 do
-          set ~row:(Layout.phash_row p) j multipliers.(bk)
-        done;
+        Array.fill phash starts.(bk) sz multipliers.(bk);
         let ph = Perfect.of_multiplier ~p:p.p ~size:sz multipliers.(bk) in
-        Array.iter (fun x -> set ~row:(Layout.data_row p) (starts.(bk) + Perfect.eval ph x) x) bucket
+        Array.iter (fun x -> data.(starts.(bk) + Perfect.eval ph x) <- x) bucket
       end)
     buckets;
+  (* One column, its coefficient rows set once for all columns. *)
+  let column = Array.make (Params.rows p) (-1) in
+  let f_coeffs = Poly_hash.coeffs (Dm_family.f top) in
+  let g_coeffs = Poly_hash.coeffs (Dm_family.g top) in
+  for i = 0 to p.d - 1 do
+    column.(Layout.f_row p i) <- f_coeffs.(i);
+    column.(Layout.g_row p i) <- g_coeffs.(i)
+  done;
+  let z = Dm_family.z top in
+  for j = 0 to p.s - 1 do
+    column.(Layout.z_row p) <- z.(j mod p.r);
+    column.(Layout.gbas_row p) <- gbas.(j mod p.m);
+    let words = group_words.(j mod p.m) in
+    for w = 0 to p.rho - 1 do
+      column.(Layout.hist_row p w) <- words.(w)
+    done;
+    column.(Layout.phash_row p) <- phash.(j);
+    column.(Layout.data_row p) <- data.(j);
+    for row = 0 to Params.rows p - 1 do
+      Table.write table (Layout.cell p ~row j) column.(row)
+    done
+  done;
   {
     params = p;
     table;

@@ -81,17 +81,17 @@ let t10 =
    cells the query algorithm really could read (first replica of the
    row / residue), so every degraded plan is still executable. *)
 let degrade_spec (p : Lc_core.Params.t) ~kill_coeff ~kill_z ~kill_meta spec_fn x =
-  let coeff_rows = 2 * p.d in
+  let coeff_rows = 2 * p.d and cs = Lc_core.Layout.column_stride p in
   let plan = spec_fn x in
   Array.mapi
     (fun i st ->
       match st with
-      | Spec.Stride { base; stride = 1; count } when i < coeff_rows && count = p.s ->
+      | Spec.Stride { base; stride; count } when i < coeff_rows && stride = cs && count = p.s ->
         if kill_coeff then Spec.Point base else st
-      | Spec.Stride { base; stride; count = _ } when i = coeff_rows && stride = p.r ->
+      | Spec.Stride { base; stride; count = _ } when i = coeff_rows && stride = p.r * cs ->
         if kill_z then Spec.Point base else st
       | Spec.Stride { base; stride; count = _ }
-        when i > coeff_rows && i <= coeff_rows + 1 + p.rho && stride = p.m ->
+        when i > coeff_rows && i <= coeff_rows + 1 + p.rho && stride = p.m * cs ->
         if kill_meta then Spec.Point base else st
       | other -> other)
     plan

@@ -98,9 +98,9 @@ let default_manifest =
     ("lib/obs/window.ml", [ "publish" ]);
     ("lib/obs/journal.ml", [ "record" ]);
     ("lib/cellprobe/table.ml", [ "peek" ]);
-    (* Each dictionary's one query, and the two reads every query is
-       made of. *)
-    ("lib/dict/dict_intf.ml", [ "point"; "replica" ]);
+    (* Each dictionary's one query, and the reads every query is made
+       of. *)
+    ("lib/dict/dict_intf.ml", [ "point"; "draw"; "replica_at"; "replica" ]);
     ("lib/core/query.ml", [ "query" ]);
     (* The histogram walk runs once per lc query and must not
        allocate: listed so that LC004 audits its body directly. *)

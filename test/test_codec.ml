@@ -135,8 +135,8 @@ let check_same_bytes what text =
 
 (* dune copies the committed documents next to the test tree. *)
 let committed =
-  [ "BENCH_0.json"; "BENCH_1.json"; "BENCH_2.json"; "artifacts/t18-control.json";
-    "artifacts/t18-postmortem.json" ]
+  [ "BENCH_0.json"; "BENCH_1.json"; "BENCH_2.json"; "BENCH_3.json";
+    "artifacts/t18-control.json"; "artifacts/t18-postmortem.json" ]
 
 let read_committed name =
   let path = Filename.concat (Filename.dirname Sys.executable_name) (Filename.concat ".." name) in

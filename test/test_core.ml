@@ -103,8 +103,24 @@ let test_layout_rows_distinct () =
 let test_layout_cell_arithmetic () =
   let p = Params.make ~universe ~n:256 () in
   checki "cell 0" 0 (Layout.cell p ~row:0 0);
-  checki "row stride" p.s (Layout.cell p ~row:1 0);
-  checki "column offset" (p.s + 5) (Layout.cell p ~row:1 5)
+  checki "row offset" 1 (Layout.cell p ~row:1 0);
+  checki "column stride" (Params.rows p) (Layout.column_stride p);
+  checki "column offset" ((5 * Params.rows p) + 1) (Layout.cell p ~row:1 5)
+
+(* Every (row, column) has its own cell, and together they fill the
+   table. *)
+let test_layout_cell_bijection () =
+  let p = Params.make ~universe ~n:256 () in
+  let seen = Array.make (Params.total_cells p) false in
+  for row = 0 to Params.rows p - 1 do
+    for j = 0 to p.s - 1 do
+      let c = Layout.cell p ~row j in
+      checkb "inside the table" true (c >= 0 && c < Params.total_cells p);
+      checkb "not seen before" false seen.(c);
+      seen.(c) <- true
+    done
+  done;
+  checkb "every cell reached" true (Array.for_all Fun.id seen)
 
 let test_layout_bounds () =
   let p = Params.make ~universe ~n:256 () in
@@ -741,6 +757,7 @@ let () =
         [
           Alcotest.test_case "rows distinct and contiguous" `Quick test_layout_rows_distinct;
           Alcotest.test_case "cell arithmetic" `Quick test_layout_cell_arithmetic;
+          Alcotest.test_case "cell is one-to-one" `Quick test_layout_cell_bijection;
           Alcotest.test_case "bounds" `Quick test_layout_bounds;
           Alcotest.test_case "z replicas partition" `Quick test_layout_z_replicas;
           Alcotest.test_case "group bijection" `Quick test_layout_group_bijection;

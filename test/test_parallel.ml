@@ -10,6 +10,8 @@ module Table = Lc_cellprobe.Table
 module Instance = Lc_dict.Instance
 module Keyset = Lc_workload.Keyset
 module Engine = Lc_parallel.Engine
+module Contention = Lc_cellprobe.Contention
+module Chisq = Lc_analysis.Chisq
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -195,6 +197,99 @@ let test_spinlock_same_tallies () =
   checki "same total probes under spinlock" free.Engine.total_probes locked.Engine.total_probes;
   Alcotest.(check (array int))
     "same per-cell counts under spinlock" free.Engine.counts locked.Engine.counts
+
+(* Served counts against the exact contention of Definition 1: over
+   [queries] queries, cell [j] expects [queries * Phi(j)] probes.
+   [groups] partitions the cells by the one probe step that reads them
+   (an lc row), so each group's counts, with the queries that never
+   reach it as one more bin, are one multinomial. Two statistics, each
+   Bonferroni-corrected into a p-value:
+   - per group, a Pearson chi-square over bins pooled in cell order to
+     an expectation of at least 5. It sees over-dispersion, such as two
+     workers drawing from one rng stream;
+   - over the cells expected at least 5 times, the largest standardised
+     deviation. It sees one starved or hot copy.
+   No chi-square spans groups: the rows of one query round share their
+   draw, so their counts are not independent. *)
+let served_vs_exact ~groups ~counts ~queries (ex : Contention.result) =
+  let q = float_of_int queries in
+  let expect j = q *. ex.Contention.per_cell.(j) in
+  (* Pool (observed, expected) pairs in order until each bin expects at
+     least 5; a short tail joins the last bin. *)
+  let pooled_p pairs =
+    let full, (o, e) =
+      List.fold_left
+        (fun (full, (o, e)) (o', e') ->
+          let o = o + o' and e = e +. e' in
+          if e >= 5.0 then ((o, e) :: full, (0, 0.0)) else (full, (o, e)))
+        ([], (0, 0.0)) pairs
+    in
+    match full with
+    | [] | [ _ ] -> 1.0
+    | (o', e') :: rest ->
+      let bins = Array.of_list ((o + o', e +. e') :: rest) in
+      Chisq.p_value ~dof:(Array.length bins - 1)
+        (Chisq.statistic ~observed:(Array.map fst bins) ~expected:(Array.map snd bins))
+  in
+  let row_p =
+    Array.fold_left
+      (fun worst cells ->
+        let bins = Array.to_list (Array.map (fun j -> (counts.(j), expect j)) cells) in
+        let reached = Array.fold_left (fun a j -> a + counts.(j)) 0 cells in
+        let e_reached = Array.fold_left (fun a j -> a +. expect j) 0.0 cells in
+        Float.min worst (pooled_p (bins @ [ (queries - reached, q -. e_reached) ])))
+      1.0 groups
+  in
+  let z_max = ref 0.0 and tested = ref 0 in
+  Array.iter
+    (Array.iter (fun j ->
+         let e = expect j in
+         if e >= 5.0 then begin
+           incr tested;
+           let z = (float_of_int counts.(j) -. e) /. Float.sqrt (e *. (1.0 -. (e /. q))) in
+           z_max := Float.max !z_max (Float.abs z)
+         end))
+    groups;
+  let bonferroni k p = Float.min 1.0 (float_of_int k *. p) in
+  ( bonferroni (Array.length groups) row_p,
+    !z_max,
+    bonferroni !tested (Chisq.p_value ~dof:1 (!z_max *. !z_max)) )
+
+(* A 2-domain run over lc at n = 4096 serves Q = 400k queries whose
+   per-cell counts fit Q * Phi(j), for uniform positive queries and for
+   a 50/50 hit/miss mix. A copy the draw never picks, a draw that
+   favours some copies, or two workers sharing one rng stream each fail
+   one of the two statistics. *)
+let test_served_counts_match_exact () =
+  let n = 4096 and queries_per_domain = 200_000 in
+  let rng = Rng.create 31 in
+  let keys = Keyset.random rng ~universe ~n in
+  let dict = Lc_core.Dictionary.build rng ~universe ~keys in
+  let p = Lc_core.Dictionary.params dict and inst = Lc_core.Dictionary.instance dict in
+  let groups =
+    Array.init (Lc_core.Params.rows p) (fun row ->
+        Array.init p.s (fun j -> Lc_core.Layout.cell p ~row j))
+  in
+  List.iter
+    (fun (dist, seed) ->
+      let qdist = Lc_perf.Select.workload rng ~universe ~keys dist in
+      let exact = Contention.exact ~cells:inst.Instance.space ~qdist ~spec:inst.Instance.spec in
+      let r = serve ~domains:2 ~queries_per_domain ~seed inst qdist in
+      let counts = r.Engine.counts in
+      Array.iteri
+        (fun j c ->
+          if exact.Contention.per_cell.(j) = 0.0 && c > 0 then
+            Alcotest.failf "%s: cell %d probed %d times outside every step's support" dist j c)
+        counts;
+      let row_p, z_max, z_p = served_vs_exact ~groups ~counts ~queries:r.Engine.queries exact in
+      checkb
+        (Printf.sprintf "%s: per-row chi-square fits (Bonferroni p = %.3g)" dist row_p)
+        true (row_p >= 1e-3);
+      checkb
+        (Printf.sprintf "%s: largest cell deviation fits (|z| = %.2f, Bonferroni p = %.3g)" dist
+           z_max z_p)
+        true (z_p >= 1e-3))
+    [ ("pos", 41); ("mix:0.5", 42) ]
 
 (* An obs-off run's set-up allocation is the per-worker tallies, one
    word per cell each, merged in place: at n = 4096 (125,460 cells),
@@ -507,6 +602,8 @@ let () =
           Alcotest.test_case "storm agreement" `Quick test_storm_agreement;
           Alcotest.test_case "hotspot separation" `Quick test_hotspot_separation;
           Alcotest.test_case "spinlock same tallies" `Quick test_spinlock_same_tallies;
+          Alcotest.test_case "served counts match exact contention" `Quick
+            test_served_counts_match_exact;
           Alcotest.test_case "run set-up allocation" `Quick test_run_setup_allocation;
           Alcotest.test_case "count_histogram buckets" `Quick test_count_histogram_buckets;
           Alcotest.test_case "top_cells" `Quick test_top_cells;
