@@ -57,8 +57,7 @@ let slot_length slot = slot land ((1 lsl slot_shift) - 1)
 
 let over_cap () = invalid_arg "Histogram.locate: load exceeds the group cap"
 
-let locate (p : Params.t) words ~k =
-  if Array.length words <> p.rho then invalid_arg "Histogram.locate: expected rho words";
+let walk (p : Params.t) words ~k =
   if k < 0 || k >= p.g_per_group then invalid_arg "Histogram.locate: bucket index out of range";
   let g = p.g_per_group and cap = p.cap_group and cb = p.cell_bits in
   let mask = (1 lsl cb) - 1 in
@@ -108,3 +107,7 @@ let locate (p : Params.t) words ~k =
   done;
   if !runs < g then invalid_arg "Histogram.locate: unterminated run";
   (!off lsl slot_shift) lor !len
+
+let locate (p : Params.t) words ~k =
+  if Array.length words <> p.rho then invalid_arg "Histogram.locate: expected rho words";
+  walk p words ~k

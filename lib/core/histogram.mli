@@ -14,7 +14,8 @@
     the loads for free, since only probes cost in the cell-probe model;
     {!locate} computes the prefix sum in one allocation-free pass over
     the words a byte at a time, and {!decode} stays the reference it
-    must agree with. *)
+    must agree with. The query calls {!walk}, {!locate} without the
+    exact-length check. *)
 
 val encode : Params.t -> loads:int array -> int array
 (** [encode p ~loads] packs the loads of one group's buckets (length
@@ -41,6 +42,12 @@ val locate : Params.t -> int array -> k:int -> int
     rejects, so it walks past bucket [k] to the [g_per_group]-th run and
     checks every load on the way against [cap_group]. It also rejects [k]
     outside [\[0, g_per_group)]. It allocates nothing. *)
+
+val walk : Params.t -> int array -> k:int -> int
+(** [walk p words ~k] is {!locate} over the first [rho] words of
+    [words], which may be longer: the query reads its histogram into a
+    reused scratch array and walks it in place. Requires at least [rho]
+    words. It allocates nothing. *)
 
 val slot_offset : int -> int
 (** [slot_offset slot] is the offset in a {!locate} result: its bits

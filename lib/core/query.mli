@@ -6,12 +6,13 @@
     (Definition 12's restriction). Phases:
 
     + draw one uniformly random column and read the [2d] coefficient
-      words of [f] and [g] from it, then one uniformly random replica
-      of [z_{g(x)}]; compute [h(x)] and [h'(x) = h(x) mod m];
+      words of [f] and [g] from it, evaluate [g(x)], then read one
+      uniformly random replica of [z_{g(x)}]; compute [h(x)] and
+      [h'(x) = h(x) mod m];
     + draw one uniformly random copy of group [h'(x)] and read
       [GBAS(h'(x))] and the group's [rho] histogram words from it; once
       all [rho] are read, locate bucket [h(x)]'s slot range in one
-      allocation-free pass over them ({!Histogram.locate}), which also
+      allocation-free pass over them ({!Histogram.walk}), which also
       rejects a malformed histogram;
     + if the range is empty, answer negative;
     + otherwise read the bucket's perfect-hash word from a uniformly
@@ -22,7 +23,13 @@
     column-major {!Layout} they sit in adjacent cells. Under a [Plan]
     reader the same code records the exact distribution of those
     probes, which {!Lc_cellprobe.Contention.exact} turns into
-    contention numbers. *)
+    contention numbers.
+
+    The words a query has read live in the reader's scratch array
+    ({!Lc_dict.Dict_intf.scratch}): the coefficients, evaluated in
+    place by {!Lc_hash.Poly_hash.eval_words}, then the histogram. So a
+    query through a reused {!Lc_dict.Dict_intf.sampler} allocates
+    nothing. *)
 
 val query : Structure.t -> Lc_dict.Dict_intf.reader -> int -> bool
 (** [query t r x] answers "is [x] in [S]?" with at most [2d + rho + 4]
@@ -30,5 +37,5 @@ val query : Structure.t -> Lc_dict.Dict_intf.reader -> int -> bool
     mode of {!Lc_dict.Instance} and behind {!Dictionary.spec}. *)
 
 val mem : Structure.t -> Lc_prim.Rng.t -> int -> bool
-(** [mem t rng x] is [query] with plain reads ({!Lc_cellprobe.Table.peek});
-    reentrant. *)
+(** [mem t rng x] is [query] with plain reads ({!Lc_cellprobe.Table.peek})
+    through a fresh sampler; reentrant. *)

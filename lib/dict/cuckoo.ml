@@ -78,21 +78,22 @@ let build ?(replicate = true) ?(d = 3) rng ~universe ~keys =
   t
 
 (* Hash function [which]'s d coefficient words, each read from one of
-   its copies. *)
-let read_poly t r which =
-  let cs = Array.make t.d 0 in
+   its copies into [words.(which * d) ..]. *)
+let read_coeffs t r words which =
   for i = 0 to t.d - 1 do
-    cs.(i) <- Dict_intf.replica r ~base:(coeff_base t which i) ~stride:1 ~count:t.copies
-  done;
-  Poly_hash.of_coeffs ~p:t.p ~m:t.size_each cs
+    words.((which * t.d) + i) <-
+      Dict_intf.replica r ~base:(coeff_base t which i) ~stride:1 ~count:t.copies
+  done
 
 (* The second data probe happens only when the first misses. *)
 let query t r x =
   if x < 0 || x >= t.p then invalid_arg "Cuckoo.mem: key outside universe";
-  let h0 = read_poly t r 0 in
-  let h1 = read_poly t r 1 in
-  Dict_intf.point r (t0_base t + Poly_hash.eval h0 x) = x
-  || Dict_intf.point r (t1_base t + Poly_hash.eval h1 x) = x
+  let words = Dict_intf.scratch r (2 * t.d) in
+  read_coeffs t r words 0;
+  read_coeffs t r words 1;
+  let h0x = Poly_hash.eval_words ~p:t.p ~m:t.size_each words ~pos:0 ~d:t.d x in
+  let h1x = Poly_hash.eval_words ~p:t.p ~m:t.size_each words ~pos:t.d ~d:t.d x in
+  Dict_intf.point r (t0_base t + h0x) = x || Dict_intf.point r (t1_base t + h1x) = x
 
 let rehashes t = t.rehashes
 

@@ -15,11 +15,18 @@
     or {!replica} (one of [count] copies). Reads that share one copy
     index, such as the words of one column, take it from {!draw} and
     read through {!replica_at}: each read stays uniform over its own
-    copies. {!make} runs that one query two ways: under [Sample] it is
-    [S.mem], drawing each replica and probing it; under [Plan] it is
-    [S.spec], recording each read as the {!Lc_cellprobe.Spec} step it
-    is and reading the first copy. So the plan cannot drift from the
-    query: both are the same code.
+    copies. A query that needs room for the words it has read, such as
+    hash coefficients, asks {!scratch} for it. {!make} runs that one
+    query two ways: under [Sample] it is [S.query], drawing each
+    replica and probing it; under [Plan] it is [S.spec], recording each
+    read as the {!Lc_cellprobe.Spec} step it is and reading the first
+    copy. So the plan cannot drift from the query: both are the same
+    code.
+
+    A [Sample] reader is built once by {!sampler} and serves query
+    after query: it keeps its scratch array between queries, and
+    [Rng] draws allocate nothing, so a query through a reused sampler
+    allocates nothing. Each serving domain owns one.
 
     This split is what makes one implementation serve three consumers:
 
@@ -43,12 +50,28 @@ type probe = step:int -> int -> int
     passes its own. *)
 
 type reader =
-  | Sample of { probe : probe; rng : Rng.t; mutable step : int }
+  | Sample of { probe : probe; rng : Rng.t; mutable step : int; mutable scratch : int array }
       (** Answer the query: draw each replica from [rng] and visit it
-          through [probe]; [step] counts the probes made so far. *)
+          through [probe]; [step] counts the probes made so far, and
+          [scratch] is the query's working array, grown, never shrunk,
+          by {!scratch}. *)
   | Plan of { table : Table.t; steps : Spec.step Queue.t }
       (** Record the query's probe plan into [steps], reading the first
           copy of every replicated word from [table]. *)
+
+(** [sampler ~probe rng] is a [Sample] reader that answers queries
+    through [probe], drawing replicas from [rng]. *)
+let sampler ~probe rng = Sample { probe; rng; step = 0; scratch = [||] }
+
+(** [scratch r n] is an array of at least [n] ints for the running
+    query's own use: under [Sample] the reader's, reused by its next
+    query; under [Plan] a fresh one. *)
+let scratch r n =
+  match r with
+  | Sample s ->
+    if Array.length s.scratch < n then s.scratch <- Array.make n 0;
+    s.scratch
+  | Plan _ -> Array.make n 0
 
 let point r j =
   match r with
@@ -88,26 +111,37 @@ module type S = sig
   val max_probes : int
   (** Worst-case probes per query, the paper's [t]. *)
 
+  val query : reader -> int -> bool
+  (** [query r x] answers the membership query through [r], from probe
+      step 0. Under a {!sampler} it visits every cell through the
+      sampler's probe, and its rng drives only replica balancing, never
+      the answer; it allocates nothing once [r] has served a query. One
+      sampler serves one query at a time. *)
+
   val mem : probe:probe -> Lc_prim.Rng.t -> int -> bool
-  (** [mem ~probe rng x] answers the membership query, visiting every
-      cell through [probe]; [rng] drives only replica balancing, never
-      the answer. Reentrant whenever [probe] is. *)
+  (** [mem ~probe rng x] is [query (sampler ~probe rng) x]: reentrant
+      whenever [probe] is, and it allocates the sampler. *)
 
   val spec : int -> Lc_cellprobe.Spec.t
   (** [spec x] is the exact probe plan the query algorithm uses for [x]
       on this table. *)
 end
 
-let make ~name ~table ~max_probes query : (module S) =
+let make ~name ~table ~max_probes run : (module S) =
   (module struct
     let name = name
     let table = table
     let space = Table.size table
     let max_probes = max_probes
-    let mem ~probe rng x = query (Sample { probe; rng; step = 0 }) x
+
+    let query r x =
+      (match r with Sample s -> s.step <- 0 | Plan _ -> ());
+      run r x
+
+    let mem ~probe rng x = query (sampler ~probe rng) x
 
     let spec x =
       let steps = Queue.create () in
-      ignore (query (Plan { table; steps }) x : bool);
+      ignore (run (Plan { table; steps }) x : bool);
       Array.of_seq (Queue.to_seq steps)
   end)

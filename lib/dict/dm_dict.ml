@@ -110,21 +110,22 @@ let build ?(replicate = true) ?(d = 3) rng ~universe ~keys =
   t
 
 (* One polynomial of the top-level function: coefficient words
-   [idx0 .. idx0 + d - 1], each read from one of its copies. *)
-let read_poly t r idx0 m =
-  let cs = Array.make t.d 0 in
+   [idx0 .. idx0 + d - 1], each read from one of its copies into
+   [words.(idx0) ..]. *)
+let read_coeffs t r words idx0 =
   for i = 0 to t.d - 1 do
-    cs.(i) <- Dict_intf.replica r ~base:(coeff_base t (idx0 + i)) ~stride:1 ~count:t.copies
-  done;
-  Poly_hash.of_coeffs ~p:t.p ~m cs
+    words.(idx0 + i) <-
+      Dict_intf.replica r ~base:(coeff_base t (idx0 + i)) ~stride:1 ~count:t.copies
+  done
 
 let query t r x =
   if x < 0 || x >= t.p then invalid_arg "Dm_dict.mem: key outside universe";
-  let f = read_poly t r 0 t.nb in
-  let g = read_poly t r t.d t.r in
-  let gx = Poly_hash.eval g x in
+  let words = Dict_intf.scratch r (2 * t.d) in
+  read_coeffs t r words 0;
+  read_coeffs t r words t.d;
+  let gx = Poly_hash.eval_words ~p:t.p ~m:t.r words ~pos:t.d ~d:t.d x in
   let zg = Dict_intf.replica r ~base:(z_base t + gx) ~stride:t.r ~count:t.z_copies in
-  let i = (Poly_hash.eval f x + zg) mod t.nb in
+  let i = (Poly_hash.eval_words ~p:t.p ~m:t.nb words ~pos:0 ~d:t.d x + zg) mod t.nb in
   let header = Dict_intf.point r (header_off t i) in
   let off = header / t.load_base and l = header mod t.load_base in
   if l = 0 then false

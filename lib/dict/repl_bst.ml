@@ -82,7 +82,7 @@ let query t r x = pred t r x = x
 
 let predecessor t rng x =
   let probe ~step:_ j = Table.peek t.table j in
-  match pred t (Dict_intf.Sample { probe; rng; step = 0 }) x with
+  match pred t (Dict_intf.sampler ~probe rng) x with
   | -1 -> None
   | y -> Some y
 

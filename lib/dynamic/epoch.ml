@@ -71,14 +71,14 @@ type reader = {
      pin/unpin announcement windows by [mem_phased]. Plain field — read
      by the engine after joining the owning domain. *)
   mutable r_pin_ns : int;
-  (* The probe closure is allocated once per reader and re-pointed at
-     the replica under probe by [mem] — the hot read path allocates
-     nothing per query or per level. *)
+  (* The sampler and its probe closure are allocated once per reader,
+     and the probe is re-pointed at the replica under probe by [walk]:
+     the read path allocates nothing per query or per level. *)
   mutable cur_counters : int Atomic.t array;
   mutable cur_table : Table.t;
   mutable cur_base : int;
   mutable observe : int -> unit;
-  mutable probe : Lc_dict.Dict_intf.probe;
+  mutable sampler : Lc_dict.Dict_intf.reader;
 }
 
 let no_observe (_ : int) = ()
@@ -336,15 +336,16 @@ let reader t rng =
       cur_table = Table.create ~cells:1 ~bits:1 ();
       cur_base = 0;
       observe = no_observe;
-      probe = (fun ~step:_ j -> j);
+      sampler = Lc_dict.Dict_intf.sampler ~probe:(fun ~step:_ j -> j) rng;
     }
   in
-  r.probe <-
-    (fun ~step:_ j ->
-      Atomic.incr r.cur_counters.(j);
-      r.r_probes <- r.r_probes + 1;
-      r.observe (r.cur_base + j);
-      Table.peek r.cur_table j);
+  let probe ~step:_ j =
+    Atomic.incr r.cur_counters.(j);
+    r.r_probes <- r.r_probes + 1;
+    r.observe (r.cur_base + j);
+    Table.peek r.cur_table j
+  in
+  r.sampler <- Lc_dict.Dict_intf.sampler ~probe rng;
   r
 
 let set_observe r f = r.observe <- f
@@ -420,7 +421,7 @@ let walk r s x =
       r.cur_table <- l.tables.(rep);
       r.cur_base <- s.bases.(!i) + l.rep_base.(rep);
       let (module D : Lc_dict.Dict_intf.S) = l.cores.(rep) in
-      if D.mem ~probe:r.probe r.r_rng x then hit := true;
+      if D.query r.sampler x then hit := true;
       incr i
     done;
     !hit

@@ -16,9 +16,10 @@
     - Readers {e pin} the current snapshot before each query: announce
       its epoch in a per-reader slot ([int Atomic.t]), re-read the
       pointer, retry if it moved. Between pin and unpin a reader probes
-      only immutable tables through a preallocated probe closure — no
-      locks, no allocation, nothing but [Atomic] reads/increments on the
-      query path.
+      only immutable tables through the one
+      {!Lc_dict.Dict_intf.sampler} it built at registration — no locks,
+      no allocation, nothing but [Atomic] reads/increments on the query
+      path.
     - Reclamation: a level dropped by the publication of epoch [e]
       retires at [e] and is freed only once the minimum announced epoch
       across all reader slots reaches [e] (quiescent slots announce
@@ -53,8 +54,9 @@ type snapshot
 
 type reader
 (** A registered reader: an announcement slot plus the preallocated
-    probe state for the zero-allocation query path. One per domain —
-    a reader must never be used from two domains concurrently. *)
+    sampler and probe state for the zero-allocation query path. One per
+    domain — a reader must never be used from two domains
+    concurrently. *)
 
 exception Freed_level of { epoch : int; level : int }
 (** Raised by {!mem} if a query ever observes a reclaimed level — the
@@ -170,8 +172,10 @@ val reader : t -> Lc_prim.Rng.t -> reader
 
 val mem : t -> reader -> int -> bool
 (** [mem t r x]: pin the current snapshot, probe its levels largest
-    first (tombstones answer [false] without probing), unpin. Lock-free
-    and allocation-free; every cell visit increments the level's
+    first (tombstones answer [false] without probing), unpin. Lock-free,
+    and allocation-free except when a level needs a larger scratch
+    array than [r] has held so far (the test [epoch / mem allocates
+    nothing] measures it); every cell visit increments the level's
     per-cell tally and [r]'s cumulative counter, and feeds the observe
     hook with the snapshot-global cell id. *)
 

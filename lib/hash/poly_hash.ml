@@ -22,6 +22,18 @@ let eval_field h x = Modarith.poly_eval h.p h.coeffs x
 
 let eval h x = eval_field h x mod h.m
 
+(* [Modarith.poly_eval] over a slice, checking each coefficient as
+   [of_coeffs] does. *)
+let eval_words ~p ~m words ~pos ~d x =
+  let x = x mod p in
+  let acc = ref 0 in
+  for i = pos + d - 1 downto pos do
+    let c = words.(i) in
+    if c < 0 || c >= p then invalid_arg "Poly_hash.eval_words: coefficient out of field";
+    acc := Modarith.add p (Modarith.mul p !acc x) c
+  done;
+  !acc mod m
+
 let d h = Array.length h.coeffs
 let range h = h.m
 let modulus h = h.p

@@ -22,11 +22,21 @@ val create : Lc_prim.Rng.t -> d:int -> p:int -> m:int -> t
 
 val of_coeffs : p:int -> m:int -> int array -> t
 (** [of_coeffs ~p ~m coeffs] builds the specific polynomial with the
-    given coefficients (constant term first), each already in [0, p-1]. *)
+    given coefficients (constant term first), each already in [0, p-1].
+    It copies them; the query path uses {!eval_words} instead. *)
 
 val eval : t -> int -> int
 (** [eval h x] is [h(x)] in [0, m-1]. [x] must lie in [0, p-1] (i.e. in
     the key universe). *)
+
+val eval_words : p:int -> m:int -> int array -> pos:int -> d:int -> int -> int
+(** [eval_words ~p ~m words ~pos ~d x] is
+    [eval (of_coeffs ~p ~m (Array.sub words pos d)) x], computed by
+    Horner's rule in place: the query path evaluates its hash functions
+    from the coefficient words it has just read, allocating nothing.
+    Raises [Invalid_argument] when one of the [d] words lies outside
+    [0, p-1], as [of_coeffs] does. Requires [d >= 1], [m >= 1] and [p]
+    a valid modulus. *)
 
 val d : t -> int
 (** Number of coefficients (the independence parameter). *)

@@ -1530,19 +1530,23 @@ let run (cfg : Config.t) workload =
           let rng = Rng.create (seed + (7919 * (w + 1))) in
           Array.init queries_per_domain (fun _ -> Qdist.sample qdist rng))
     in
+    (* Each worker answers its whole batch through one sampler, so a
+       query allocates nothing. *)
     let worker w () =
       let rng = Rng.create (seed lxor (104729 * (w + 1))) in
       let tally = tallies.(w) in
       match tel with
       | None ->
         let probe = make_probe ~cost ~tally ~locks D.table in
-        Array.iter (fun x -> ignore (D.mem ~probe rng x : bool)) batches.(w)
+        let reader = Lc_dict.Dict_intf.sampler ~probe rng in
+        Array.iter (fun x -> ignore (D.query reader x : bool)) batches.(w)
       | Some t ->
         let sketch = Option.map (fun m -> m.Monitor.sketches.(w)) monitor in
         let probe, probes =
           make_obs_probe ?sketch ~cost ~tally ~locks D.table t.ids (fst t.workers.(w))
         in
-        let src = { query = (fun x -> D.mem ~probe rng x); probes; pin_ns = (fun () -> 0) } in
+        let reader = Lc_dict.Dict_intf.sampler ~probe rng in
+        let src = { query = D.query reader; probes; pin_ns = (fun () -> 0) } in
         ignore
           (instrumented_loop t w ?publisher:(worker_publisher ?monitor t w) src batches.(w) : int)
     in
@@ -1704,10 +1708,10 @@ let answer_all ?(domains = 2) ~seed inst ~queries =
   (* Round-robin index partition: workers write disjoint slots of [out],
      so the only shared mutable state is the (read-only) table cells. *)
   let worker w () =
-    let rng = Rng.create (seed + (7919 * w)) in
+    let reader = Lc_dict.Dict_intf.sampler ~probe (Rng.create (seed + (7919 * w))) in
     let i = ref w in
     while !i < n do
-      out.(!i) <- D.mem ~probe rng queries.(!i);
+      out.(!i) <- D.query reader queries.(!i);
       i := !i + domains
     done
   in

@@ -78,13 +78,13 @@ type result = {
     codec {!phases_codec} that both [/scaling.json] and the
     ["lowcon-scaling"] artifact ({!Lc_perf.Scaling}) use. The per-cell
     tally increments (plain stores into the domain's own array) happen
-    {e inside} the dictionary's [mem], so they are attributed to probe
+    {e inside} the dictionary's query, so they are attributed to probe
     work — the probe phase is "time the hot path spent where contention
     lives". *)
 
 type phase =
   | Probe
-      (** Inside the dictionary's [mem] (cell reads, per-cell tallies,
+      (** Inside the dictionary's query (cell reads, per-cell tallies,
           spin waits, sampled probe latency, sketch updates); for
           dynamic runs, minus the pin phase. *)
   | Tally
@@ -503,7 +503,8 @@ val answer_all :
   ?domains:int -> seed:int -> Lc_dict.Instance.t -> queries:int array -> bool array
 (** [answer_all ~domains ~seed inst ~queries] answers the whole query
     array by round-robin partition across [domains] concurrent domains
-    (counter-free probes), returning answers aligned with [queries] —
+    (counter-free probes, one sampler per domain), returning answers
+    aligned with [queries] —
     the multi-domain counterpart of mapping [inst.mem] sequentially,
     used by the tier-1 agreement tests. Default [domains] is 2. *)
 

@@ -1,37 +1,51 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in 8 bytes rather than a mutable [int64]
+   field: ocamlopt reads and writes it with [Bytes.get_int64_le] and
+   [Bytes.set_int64_le] unboxed, so a draw allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* SplitMix64 output function (Steele, Lea & Flood 2014). *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let seed = next_int64 t in
-  { state = seed }
+let next_int64 t = next t
 
-let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+let split t = of_state (next t)
+
+let bits t = Int64.to_int (Int64.shift_right_logical (next t) 2)
+
+let max_bits = 0x3FFF_FFFF_FFFF_FFFF
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling for exact uniformity. *)
-  let mask_bits = bound - 1 in
-  if bound land mask_bits = 0 then bits t land mask_bits
-  else
-    let limit = 0x3FFF_FFFF_FFFF_FFFF / bound * bound in
-    let rec draw () =
-      let v = bits t in
-      if v < limit then v mod bound else draw ()
-    in
-    draw ()
+  let mask = bound - 1 in
+  if bound land mask = 0 then bits t land mask
+  else begin
+    (* Rejection sampling for exact uniformity: accept [v] iff it lies
+       below the largest multiple of [bound] that fits in 62 bits, that
+       is iff [v - v mod bound <= max_bits - bound]. *)
+    let v = ref (bits t) in
+    let r = ref (!v mod bound) in
+    while !v - !r > max_bits - bound do
+      v := bits t;
+      r := !v mod bound
+    done;
+    !r
+  end
 
 let int_in_range t ~lo ~hi =
   if lo > hi then invalid_arg "Rng.int_in_range: lo > hi";
@@ -39,7 +53,7 @@ let int_in_range t ~lo ~hi =
 
 let float t = Stdlib.float_of_int (bits t) *. 0x1p-62
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

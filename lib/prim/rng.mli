@@ -6,10 +6,15 @@
     without sharing mutable state.
 
     All randomness in this repository flows through this module so that
-    every experiment and every test is reproducible from a single seed. *)
+    every experiment and every test is reproducible from a single seed.
+
+    Every query draws its replicas here, so a draw must not allocate:
+    the state is 8 bytes read and written unboxed, and {!bits}, {!int}
+    and {!int_in_range} allocate nothing. {!next_int64} and {!float}
+    return boxed values when called from another module. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit SplitMix64 state. *)
 
 val create : int -> t
 (** [create seed] returns a fresh generator determined by [seed]. *)
@@ -29,7 +34,9 @@ val bits : t -> int
 
 val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound-1]. Requires [bound > 0].
-    Uses rejection sampling, so the result is exactly uniform. *)
+    A power-of-two [bound] masks one draw of {!bits}; any other bound
+    rejects a draw that lies at or above the largest multiple of
+    [bound] below [2^62], so the result is exactly uniform. *)
 
 val int_in_range : t -> lo:int -> hi:int -> int
 (** [int_in_range t ~lo ~hi] is uniform on the inclusive range [lo, hi].

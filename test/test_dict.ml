@@ -378,6 +378,50 @@ let prop_sorted_oracle =
   oracle_prop "binary search agrees with oracle" (fun _rng keys ->
       Sorted_array.instance (Sorted_array.build ~universe ~keys))
 
+(* ------------------------------------------------------------------ *)
+(* A reused sampler allocates nothing per query                         *)
+(* ------------------------------------------------------------------ *)
+
+(* [calls] queries, hits and misses in turn, through one sampler after
+   one warm-up query: the [Gc.minor_words] delta must be exactly what
+   reading the counter costs. The loop is a plain [for], since a
+   closure passed to [Array.iter] allocates once. *)
+let check_no_allocation name (inst : Instance.t) keys =
+  let (module D : Lc_dict.Dict_intf.S) = inst.core in
+  let rng = Rng.create 8 in
+  let queries =
+    Array.append (Array.sub keys 0 (min 500 (Array.length keys)))
+      (Keyset.negatives rng ~universe ~keys ~count:500)
+  in
+  let nq = Array.length queries in
+  let probe ~step:_ j = Lc_cellprobe.Table.peek D.table j in
+  let reader = Lc_dict.Dict_intf.sampler ~probe rng in
+  ignore (D.query reader queries.(0) : bool);
+  let calls = 10_000 and hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    if D.query reader queries.(i mod nq) then incr hits
+  done;
+  let after = Gc.minor_words () in
+  let idle = Gc.minor_words () -. after in
+  checki (name ^ ": hits") (calls / 2) !hits;
+  Alcotest.check (Alcotest.float 0.0) (name ^ ": minor words over 10k queries") idle
+    (after -. before)
+
+let test_no_allocation () =
+  let keys = build_keys 70 4096 in
+  let lc = Lc_core.Dictionary.build (Rng.create 71) ~universe ~keys in
+  List.iter
+    (fun (name, inst) -> check_no_allocation name inst keys)
+    [
+      ("lc", Lc_core.Dictionary.instance lc);
+      ("fks", Fks.instance (Fks.build (Rng.create 72) ~universe ~keys));
+      ("fks-norepl", Fks.instance (Fks.build ~replicate:false (Rng.create 73) ~universe ~keys));
+      ("dm", Dm_dict.instance (Dm_dict.build (Rng.create 74) ~universe ~keys));
+      ("cuckoo", Cuckoo.instance (Cuckoo.build (Rng.create 75) ~universe ~keys));
+      ("binary", Sorted_array.instance (Sorted_array.build ~universe ~keys));
+    ]
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -430,6 +474,8 @@ let () =
           Alcotest.test_case "contention flat" `Quick test_bst_contention_flat;
           Alcotest.test_case "rejects bad input" `Quick test_bst_rejects_bad_input;
         ] );
+      ( "sampler",
+        [ Alcotest.test_case "reused sampler allocates nothing" `Quick test_no_allocation ] );
       qsuite "oracle properties"
         [
           prop_fks_oracle;

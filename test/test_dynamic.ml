@@ -472,6 +472,36 @@ let prop_epoch_concurrent_oracle =
       && Epoch.total_probes t = reader_probes
       && Epoch.epoch (Epoch.current t) = publications)
 
+(* [Epoch.mem] through one reader on a published epoch of several
+   levels, after one warm-up miss (which walks every level, so the
+   reader's scratch reaches its size): 10k queries, hits, misses and
+   tombstones in turn, allocate nothing beyond what reading the counter
+   costs. *)
+let test_epoch_mem_allocates_nothing () =
+  let t = Epoch.create (Rng.create 56) ~universe () in
+  let keys = Keyset.random (Rng.create 57) ~universe ~n:1500 in
+  Array.iter (Epoch.insert t) keys;
+  for i = 0 to 99 do
+    Epoch.delete t keys.(i)
+  done;
+  Epoch.publish t;
+  checkb "several levels" true (List.length (Dynamic.levels (Epoch.inner t)) >= 4);
+  let queries =
+    Array.append (Array.sub keys 0 500) (Keyset.negatives (Rng.create 58) ~universe ~keys ~count:500)
+  in
+  let nq = Array.length queries in
+  let r = Epoch.reader t (Rng.create 59) in
+  ignore (Epoch.mem t r queries.(nq - 1) : bool);
+  let calls = 10_000 and hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    if Epoch.mem t r queries.(i mod nq) then incr hits
+  done;
+  let after = Gc.minor_words () in
+  let idle = Gc.minor_words () -. after in
+  checki "hits" (calls * 400 / 1000) !hits;
+  Alcotest.check (Alcotest.float 0.0) "minor words over 10k queries" idle (after -. before)
+
 let () =
   Alcotest.run "lc_dynamic"
     [
@@ -511,6 +541,7 @@ let () =
             test_epoch_reclamation_and_accounting;
           Alcotest.test_case "pinned reader lag accounting" `Quick
             test_epoch_pinned_reader_lag_accounting;
+          Alcotest.test_case "mem allocates nothing" `Quick test_epoch_mem_allocates_nothing;
         ] );
       ( "oracle",
         List.map (QCheck_alcotest.to_alcotest ~long:false)

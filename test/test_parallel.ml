@@ -257,39 +257,53 @@ let served_vs_exact ~groups ~counts ~queries (ex : Contention.result) =
 
 (* A 2-domain run over lc at n = 4096 serves Q = 400k queries whose
    per-cell counts fit Q * Phi(j), for uniform positive queries and for
-   a 50/50 hit/miss mix. A copy the draw never picks, a draw that
+   a 50/50 hit/miss mix; so does one over replicated FKS at n = 4096
+   under uniform positive queries, whose cells group by step: the [n]
+   copies of the top-level multiplier, the headers, the per-bucket
+   multipliers and the slots. A copy the draw never picks, a draw that
    favours some copies, or two workers sharing one rng stream each fail
    one of the two statistics. *)
 let test_served_counts_match_exact () =
   let n = 4096 and queries_per_domain = 200_000 in
   let rng = Rng.create 31 in
   let keys = Keyset.random rng ~universe ~n in
+  let check_served name (inst : Instance.t) ~groups (dist, seed) =
+    let name = name ^ " " ^ dist in
+    let qdist = Lc_perf.Select.workload rng ~universe ~keys dist in
+    let exact = Contention.exact ~cells:inst.Instance.space ~qdist ~spec:inst.Instance.spec in
+    let r = serve ~domains:2 ~queries_per_domain ~seed inst qdist in
+    let counts = r.Engine.counts in
+    Array.iteri
+      (fun j c ->
+        if exact.Contention.per_cell.(j) = 0.0 && c > 0 then
+          Alcotest.failf "%s: cell %d probed %d times outside every step's support" name j c)
+      counts;
+    let row_p, z_max, z_p = served_vs_exact ~groups ~counts ~queries:r.Engine.queries exact in
+    checkb
+      (Printf.sprintf "%s: per-row chi-square fits (Bonferroni p = %.3g)" name row_p)
+      true (row_p >= 1e-3);
+    checkb
+      (Printf.sprintf "%s: largest cell deviation fits (|z| = %.2f, Bonferroni p = %.3g)" name
+         z_max z_p)
+      true (z_p >= 1e-3)
+  in
   let dict = Lc_core.Dictionary.build rng ~universe ~keys in
-  let p = Lc_core.Dictionary.params dict and inst = Lc_core.Dictionary.instance dict in
+  let p = Lc_core.Dictionary.params dict in
   let groups =
     Array.init (Lc_core.Params.rows p) (fun row ->
         Array.init p.s (fun j -> Lc_core.Layout.cell p ~row j))
   in
   List.iter
-    (fun (dist, seed) ->
-      let qdist = Lc_perf.Select.workload rng ~universe ~keys dist in
-      let exact = Contention.exact ~cells:inst.Instance.space ~qdist ~spec:inst.Instance.spec in
-      let r = serve ~domains:2 ~queries_per_domain ~seed inst qdist in
-      let counts = r.Engine.counts in
-      Array.iteri
-        (fun j c ->
-          if exact.Contention.per_cell.(j) = 0.0 && c > 0 then
-            Alcotest.failf "%s: cell %d probed %d times outside every step's support" dist j c)
-        counts;
-      let row_p, z_max, z_p = served_vs_exact ~groups ~counts ~queries:r.Engine.queries exact in
-      checkb
-        (Printf.sprintf "%s: per-row chi-square fits (Bonferroni p = %.3g)" dist row_p)
-        true (row_p >= 1e-3);
-      checkb
-        (Printf.sprintf "%s: largest cell deviation fits (|z| = %.2f, Bonferroni p = %.3g)" dist
-           z_max z_p)
-        true (z_p >= 1e-3))
-    [ ("pos", 41); ("mix:0.5", 42) ]
+    (check_served "lc" (Lc_core.Dictionary.instance dict) ~groups)
+    [ ("pos", 41); ("mix:0.5", 42) ];
+  (* FKS cells: [n] multiplier copies, then [n] headers, [n] per-bucket
+     multipliers, and the slots. *)
+  let fks = Lc_dict.Fks.instance (Lc_dict.Fks.build rng ~universe ~keys) in
+  let region lo hi = Array.init (hi - lo) (fun i -> lo + i) in
+  let groups =
+    [| region 0 n; region n (2 * n); region (2 * n) (3 * n); region (3 * n) fks.Instance.space |]
+  in
+  check_served "fks" fks ~groups ("pos", 43)
 
 (* An obs-off run's set-up allocation is the per-worker tallies, one
    word per cell each, merged in place: at n = 4096 (125,460 cells),

@@ -46,6 +46,65 @@ let test_rng_split_diverges () =
   done;
   checkb "split streams differ" true (!same < 4)
 
+(* The stream itself, pinned: seed 0 against the published SplitMix64
+   vector, and for seeds 1 and 42 the first draws of [int] at a bound of
+   1, a power of two, the bounds the experiments use and two
+   rejection-heavy ones, of [float], and of a [split] child. *)
+let test_rng_stream_pinned () =
+  let g = Rng.create 0 in
+  List.iter
+    (fun v -> check Alcotest.int64 "SplitMix64 seed 0" v (Rng.next_int64 g))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ];
+  let ints seed bound =
+    let g = Rng.create seed in
+    List.init 3 (fun _ -> Rng.int g bound)
+  in
+  let floats seed =
+    let g = Rng.create seed in
+    List.init 2 (fun _ -> Rng.float g)
+  in
+  let child seed =
+    let c = Rng.split (Rng.create seed) in
+    List.init 2 (fun _ -> Rng.next_int64 c)
+  in
+  let check_ints name seed bound expected =
+    check Alcotest.(list int) (Printf.sprintf "seed %d int %s" seed name) expected (ints seed bound)
+  in
+  let ints_at =
+    [
+      ("1", 1); ("2^20", 1 lsl 20); ("8364", 8364); ("2^61+1", (1 lsl 61) + 1);
+      ("2^62-1", (1 lsl 62) - 1);
+    ]
+  in
+  List.iter2
+    (fun (name, bound) expected -> check_ints name 1 bound expected)
+    ints_at
+    [
+      [ 0; 0; 0 ];
+      [ 38704; 244505; 824663 ];
+      [ 6628; 4789; 4411 ];
+      [ 2049245188455445058; 2048809309281742190; 1316676407973089130 ];
+      [ 2612804094800205616; 3439311302766607129; 4477959822570722647 ];
+    ];
+  List.iter2
+    (fun (name, bound) expected -> check_ints name 42 bound expected)
+    ints_at
+    [
+      [ 0; 0; 0 ];
+      [ 711589; 638016; 255956 ];
+      [ 2961; 3100; 4540 ];
+      [ 737456523031723072; 1284820937115690964; 1587299515064563941 ];
+      [ 3419864383188818853; 737456523031723072; 1284820937115690964 ];
+    ];
+  check Alcotest.(list (float 0.0)) "seed 1 float" [ 0x1.22145bd91204cp-1; 0x1.7dd71b42cb1dep-1 ]
+    (floats 1);
+  check Alcotest.(list (float 0.0)) "seed 42 float" [ 0x1.7bae644c5fd6ep-1; 0x1.477f199d93378p-3 ]
+    (floats 42);
+  check Alcotest.(list int64) "seed 1 split child" [ 0x5E41AB087439611EL; 0xF18D6CE93D6CF1EEL ]
+    (child 1);
+  check Alcotest.(list int64) "seed 42 split child" [ 0x57E1FABA65107204L; 0xF4ABD143FEB24055L ]
+    (child 42)
+
 let test_rng_int_bounds () =
   let rng = Rng.create 5 in
   for bound = 1 to 50 do
@@ -380,6 +439,7 @@ let () =
           Alcotest.test_case "seeds differ" `Quick test_rng_seeds_differ;
           Alcotest.test_case "copy independent" `Quick test_rng_copy_independent;
           Alcotest.test_case "split diverges" `Quick test_rng_split_diverges;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int rejects nonpositive" `Quick test_rng_int_rejects_nonpositive;
           Alcotest.test_case "int uniformity" `Quick test_rng_int_uniformity;
