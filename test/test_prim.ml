@@ -47,9 +47,11 @@ let test_rng_split_diverges () =
   checkb "split streams differ" true (!same < 4)
 
 (* The stream itself, pinned: seed 0 against the published SplitMix64
-   vector, and for seeds 1 and 42 the first draws of [int] at a bound of
-   1, a power of two, the bounds the experiments use and two
-   rejection-heavy ones, of [float], and of a [split] child. *)
+   vector, and for seeds 1 and 42 the first draws of [int] at bounds 1,
+   2^20, 8364, 2^61 + 1 (which rejects about half its candidates) and
+   2^62 - 1, of [float], and of a [split] child. Only the goldens would
+   otherwise notice a changed draw, and only at the bounds the
+   experiments use. *)
 let test_rng_stream_pinned () =
   let g = Rng.create 0 in
   List.iter
