@@ -115,8 +115,8 @@ module type S = sig
   (** [query r x] answers the membership query through [r], from probe
       step 0. Under a {!sampler} it visits every cell through the
       sampler's probe, and its rng drives only replica balancing, never
-      the answer; it allocates nothing once [r] has served a query. One
-      sampler serves one query at a time. *)
+      the answer; it allocates nothing once [r] has served one query on
+      this structure. One sampler serves one query at a time. *)
 
   val mem : probe:probe -> Lc_prim.Rng.t -> int -> bool
   (** [mem ~probe rng x] is [query (sampler ~probe rng) x]: reentrant

@@ -14,19 +14,18 @@ let create seed = of_state (Int64.of_int seed)
 
 let copy = Bytes.copy
 
-(* SplitMix64 output function (Steele, Lea & Flood 2014). *)
-let[@inline] next t =
+(* SplitMix64 output function (Steele, Lea & Flood 2014). Inlined, so
+   [bits] and [bool] never box its result. *)
+let[@inline] next_int64 t =
   let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
   Bytes.set_int64_le t 0 s;
   let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_int64 t = next t
+let split t = of_state (next_int64 t)
 
-let split t = of_state (next t)
-
-let bits t = Int64.to_int (Int64.shift_right_logical (next t) 2)
+let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
 let max_bits = 0x3FFF_FFFF_FFFF_FFFF
 
@@ -53,7 +52,7 @@ let int_in_range t ~lo ~hi =
 
 let float t = Stdlib.float_of_int (bits t) *. 0x1p-62
 
-let bool t = Int64.logand (next t) 1L = 1L
+let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

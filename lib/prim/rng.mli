@@ -11,7 +11,7 @@
     Every query draws its replicas here, so a draw must not allocate:
     the state is 8 bytes read and written unboxed, and {!bits}, {!int}
     and {!int_in_range} allocate nothing. {!next_int64} and {!float}
-    return boxed values when called from another module. *)
+    return an [int64] and a [float], which their caller may box. *)
 
 type t
 (** Mutable generator state: the 64-bit SplitMix64 state. *)
